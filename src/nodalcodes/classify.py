@@ -31,7 +31,6 @@ __all__ = [
     "PencilSolution",
     "FiberSpec",
     "FIBER_TYPES",
-    "SMOOTH_MULTIPLE",
     "SweepRow",
     "SmallRhoCase",
     "StandardExample",
@@ -405,9 +404,6 @@ FIBER_TYPES = (
     FiberSpec("III", euler=3, nodal_capacity=1),
     FiberSpec("I0star", euler=6, nodal_capacity=4),
 )
-
-# contributes nothing to either budget; kept for completeness of the model
-SMOOTH_MULTIPLE = FiberSpec("smooth_multiple", euler=0, nodal_capacity=0)
 
 
 def fiber_budget(

@@ -114,6 +114,8 @@ class CoverSpec:
             raise ValueError(f"m must be non-negative: {self.m}")
         if self.m == 0 and self.r > 0:
             raise ValueError("a positive-rank cover needs branch curves")
+        if self.r == 0 and self.m > 0:
+            raise ValueError("a trivial cover (r = 0) has no branch curves")
 
 
 @dataclass(frozen=True)

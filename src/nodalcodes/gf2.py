@@ -256,6 +256,15 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # choosing a prefix of columns, the rows created so far are exactly the RREF
 # rows of the code projected onto that prefix, so candidate columns can be
 # compared and pruned before the permutation is complete.
+#
+# Codes with large automorphism groups stay cheap because the search prunes
+# with the automorphisms it finds (McKay, "Practical graph isomorphism", 1981;
+# Leon, IEEE Trans. IT 28, 1982).  A leaf that reproduces the best matrix found
+# so far yields one: its column order sent onto the best leaf's.  At every
+# node, a candidate column is skipped when it lies in the orbit of an already
+# explored sibling under the automorphisms found so far that fix the node's
+# prefix pointwise; the subtrees of orbit-mates are images of each other, so
+# they reach the same matrices.
 # ---------------------------------------------------------------------------
 
 
@@ -264,9 +273,9 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
     """Canonical representative of the permutation orbit, with a witness.
 
     Returns ``(canon, images)`` where ``permute(code, images) == canon``.
-    Among all permutations realising the canonical matrix, the witness with
-    the lexicographically smallest image tuple is returned, so equal codes
-    always yield identical witnesses.
+    The witness is the first permutation the search finds that realises the
+    canonical matrix.  The search depends only on the RREF generator matrix,
+    so equal codes always yield identical witnesses.
     """
     k, r = code.length, code.dim
     if r == 0:
@@ -279,7 +288,9 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
     fp = [tuple((g >> c) & 1 for g in gens) for c in range(k)]
 
     best_cols: Optional[List[int]] = None
-    best_imgs: Optional[Tuple[int, ...]] = None
+    best_chosen: Optional[List[int]] = None
+    # automorphisms found so far, as image lists: auts[j][c] is where c goes
+    auts: List[List[int]] = []
     generation = 0
 
     def descend(
@@ -291,18 +302,19 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
         kernel: List[int],
         on_path: bool,
     ) -> None:
-        nonlocal best_cols, best_imgs, generation
+        nonlocal best_cols, best_chosen, generation
         if depth == k:
-            imgs = [0] * k
-            for pos, c in enumerate(chosen):
-                imgs[c] = pos
-            t = tuple(imgs)
             if not on_path:
                 best_cols = list(vals)
-                best_imgs = t
+                best_chosen = list(chosen)
                 generation += 1
-            elif best_imgs is None or t < best_imgs:
-                best_imgs = t
+            else:
+                # this leaf reproduces the best matrix, so sending its
+                # column order onto the best one is an automorphism
+                aut = [0] * k
+                for c, b in zip(chosen, best_chosen):
+                    aut[c] = b
+                auts.append(aut)
             return
 
         seen: Dict[Tuple[int, ...], int] = {}
@@ -327,6 +339,9 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
         cands.sort(key=lambda t3: (t3[0], t3[1]))
 
         local_on_path = on_path
+        explored: List[int] = []
+        orbit: List[int] = []
+        n_auts = 0
         for vec, c, hit in cands:
             if best_cols is not None and local_on_path:
                 if vec > best_cols[depth]:
@@ -334,6 +349,15 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
                 tie = vec == best_cols[depth]
             else:
                 tie = False
+            # the subtrees of two columns in one orbit of the automorphisms
+            # fixing the prefix are images of each other, so they reach the
+            # same matrices; one of them is enough
+            if explored and auts:
+                if len(auts) != n_auts:
+                    n_auts = len(auts)
+                    orbit = _orbits(k, chosen, auts)
+                if any(orbit[c] == orbit[e] for e in explored):
+                    continue
             if hit:
                 new_rows = [w ^ hit if (w >> c) & 1 else w for w in rows]
                 new_rows.append(hit)
@@ -351,11 +375,12 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
                     new_rows, new_kernel, tie)
             vals.pop()
             chosen.pop()
+            explored.append(c)
             if generation != g0:
                 local_on_path = True
 
     descend(0, [], [], 0, [], list(gens), False)
-    assert best_cols is not None and best_imgs is not None
+    assert best_cols is not None and best_chosen is not None
 
     canon_gens = []
     for i in range(r):
@@ -364,7 +389,28 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
             if (vec >> (r - 1 - i)) & 1:
                 g |= 1 << pos
         canon_gens.append(g)
-    return BinaryCode(k, tuple(canon_gens)), best_imgs
+    images = [0] * k
+    for pos, c in enumerate(best_chosen):
+        images[c] = pos
+    return BinaryCode(k, tuple(canon_gens)), tuple(images)
+
+
+def _orbits(k: int, prefix: List[int], auts: List[List[int]]) -> List[int]:
+    """Orbit label of every coordinate under the group generated by the
+    automorphisms in ``auts`` that fix ``prefix`` pointwise."""
+    parent = list(range(k))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for aut in auts:
+        if all(aut[p] == p for p in prefix):
+            for c in range(k):
+                parent[find(c)] = find(aut[c])
+    return [find(c) for c in range(k)]
 
 
 def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:

@@ -425,4 +425,6 @@ def lattice_from_json(text: str) -> GramLattice:
         scaling = payload["scaling"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed lattice object: {e}") from None
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ValueError(f"rank must be an integer: {rank!r}")
     return GramLattice(rank, gram, scaling)

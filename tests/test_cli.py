@@ -259,6 +259,18 @@ def test_malformed_code_file_is_error(capsys, tmp_path):
     assert rep["status"] == "error"
 
 
+@pytest.mark.parametrize("rank", ["2", True, 2.0])
+def test_lattice_non_integer_rank_is_error(capsys, tmp_path, rank):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"rank": rank, "doubled_gram": [[4, 0], [0, 4]],
+                                "scaling": "unscaled"}))
+    rc, rep = invoke(capsys, "lattice", "identify", str(path))
+    assert rc == 1
+    assert rep["status"] == "error"
+    assert rep["outputs"] == {}
+    assert "rank" in rep["error"]
+
+
 def test_unknown_subcommand_is_error(capsys):
     rc, rep = invoke(capsys, "frobnicate")
     assert rc == 1

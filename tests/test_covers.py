@@ -35,6 +35,8 @@ def test_cover_spec_validation():
         CoverSpec(r=-1, m=4)
     with pytest.raises(ValueError):
         CoverSpec(r=2, m=0)
+    with pytest.raises(ValueError, match="no branch curves"):
+        CoverSpec(r=0, m=3)
     assert CoverSpec(r=0, m=0).r == 0
 
 

@@ -1,5 +1,8 @@
+import json
 import random
-from itertools import combinations
+import time
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +201,73 @@ def test_canonical_form_deterministic_witness():
     assert canonical_form(c) == canonical_form(make_code(c.generators, 6))
 
 
+def column_major_key(code):
+    # column c read as an int with row 0 as the most significant bit
+    rows = code.generators
+    return tuple(
+        sum(((g >> c) & 1) << (len(rows) - 1 - i) for i, g in enumerate(rows))
+        for c in range(code.length)
+    )
+
+
+def test_canonical_form_matches_bruteforce_minimum():
+    # oracle: the smallest column-major RREF matrix over all k! permutations
+    rng = random.Random(2024)
+    for _ in range(40):
+        k = rng.randrange(2, 8)
+        rows = [rng.randrange(1, 1 << k) for _ in range(rng.randrange(1, k))]
+        code = make_code(rows, k)
+        best = min(
+            column_major_key(permute(code, p)) for p in permutations(range(k))
+        )
+        canon, images = canonical_form(code)
+        assert column_major_key(canon) == best, code
+        assert permute(code, images) == canon
+
+
+def random_doubly_even(rng, n, k):
+    # grow from random words of weight 0 mod 4 meeting every earlier
+    # generator evenly; restart if the greedy choice gets stuck
+    while True:
+        gens, span = [], {0}
+        for _ in range(400 * k):
+            w = rng.getrandbits(n)
+            if (w in span or bin(w).count("1") % 4
+                    or any(bin(w & g).count("1") % 2 for g in gens)):
+                continue
+            gens.append(w)
+            span |= {s ^ w for s in span}
+            if len(gens) == k:
+                return make_code(gens, n)
+
+
+HIGH_SYMMETRY = {
+    "de(8)": de(8),
+    "simplex(4)": simplex(4),
+    "de(10)": de(10),
+    "de(16)": de(16),
+    "doubly even [14,6]": random_doubly_even(random.Random(14), 14, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIGH_SYMMETRY))
+def test_canonical_form_high_symmetry_within_budget(name):
+    # large automorphism groups (|Aut(de(n))| >= 2^n n!): without pruning by
+    # automorphisms the search walks every automorphic leaf
+    code = HIGH_SYMMETRY[name]
+    assert is_doubly_even(code)
+    images = list(range(code.length))
+    random.Random(name).shuffle(images)
+    forms = []
+    for c in (code, permute(code, images)):
+        start = time.perf_counter()  # uncached, so the search is timed
+        canon, witness = canonical_form.__wrapped__(c)
+        assert time.perf_counter() - start < 2.0, name
+        assert permute(c, witness) == canon
+        forms.append(canon)
+    assert forms[0] == forms[1]
+
+
 def test_equivalent_reversed_de3():
     a = de(3)
     b = permute(a, (5, 4, 3, 2, 1, 0))
@@ -330,6 +400,23 @@ def test_enumerate_doubly_even_self_orthogonal():
                 bin(a & b).count("1") % 2 == 0
                 for a, b in combinations(words, 2)
             )
+
+
+def test_enumerate_matches_golden():
+    # generator matrices of every class for length <= 12, recorded from the
+    # exhaustive search before it was pruned by automorphisms; the canonical
+    # matrix is part of the output, so it must never drift
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "enumerate_codes.json").read_text()
+    )
+    got = {
+        f"{w}/{length}": [
+            list(c.generators) for c in enumerate_codes(length, w, 0, length)
+        ]
+        for w in ("4", "div4")
+        for length in range(1, 13)
+    }
+    assert got == golden
 
 
 def test_enumerate_rejects_bad_arguments():
