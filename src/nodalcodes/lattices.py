@@ -6,9 +6,9 @@ the lattice obtained from a doubly even code by rescaling the preimage
 p^{-1}(V) of V under reduction mod 2 by 1/sqrt(2) has half-integral basis
 products, but its doubled Gram matrix is integral.
 
-Root vectors (norm 2) are enumerated completely with a rational
-Cholesky-style completion of the form, so results are exact and
-deterministic; no floating point is used anywhere.
+Root vectors (norm 2) are enumerated completely by integer Fincke-Pohst
+enumeration on a fraction-free (Bareiss) LDL^T of the doubled Gram matrix,
+so results are exact and deterministic; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .gf2 import BinaryCode, is_doubly_even, is_even
@@ -68,15 +68,6 @@ class GramLattice:
                 if g[i][j] != g[j][i]:
                     raise ValueError("doubled_gram must be symmetric")
 
-    def inner(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        """True inner product <x, y> of two coordinate vectors."""
-        total = 0
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.doubled_gram[i]
-                total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-        return Fraction(total, 2)
-
 
 def _gram_from_basis(basis: List[List[int]], doubled: bool) -> Tuple[Tuple[int, ...], ...]:
     n = len(basis)
@@ -125,25 +116,6 @@ def construction_a(code: BinaryCode, scaling: str) -> GramLattice:
 # ---------------------------------------------------------------------------
 
 
-def _decompose(gram: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Write the form as sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2.
-
-    Raises if the form is not positive definite.
-    """
-    n = len(gram)
-    q = [row[:] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for l in range(i + 1, n):
-            for m in range(l, n):
-                q[l][m] = q[l][m] - q[l][i] * q[i][m]
-    return q
-
-
 def _reduce_basis(
     g2: Tuple[Tuple[int, ...], ...],
 ) -> Tuple[List[List[int]], List[List[int]]]:
@@ -180,63 +152,66 @@ def _reduce_basis(
     return g, u
 
 
-def _max_shift(u: Fraction, bound: Fraction) -> int:
-    """Largest integer t with (t + u)^2 <= bound (bound >= 0)."""
-    # integer floor of sqrt(bound) as a first guess, then exact adjustment
-    s = isqrt(bound.numerator * bound.denominator) // bound.denominator
-    t = s - (-(-u.numerator // u.denominator))  # s - ceil(u)
-    while (t + 1 + u) * (t + 1 + u) <= bound:
-        t += 1
-    while (t + u) * (t + u) > bound:
-        t -= 1
-    return t
+def _bareiss_rows(g: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
+    """Fraction-free LDL^T of a symmetric integer matrix (Bareiss).
+
+    Returns the leading principal minors d = [1, d_1, ..., d_n] and integer
+    rows U_i (only the entries j >= i are meaningful, U_ii = d_{i+1}) with
+    x^T g x = sum_i (U_i . x)^2 / (d_i d_{i+1}).  The recurrence is the one
+    of ``_int_det``.  Raises if the form is not positive definite.
+    """
+    a = [row[:] for row in g]
+    n = len(a)
+    d = [1]
+    for i in range(n):
+        if a[i][i] <= 0:
+            raise ValueError("form is not positive definite")
+        for j in range(i + 1, n):
+            for k in range(i + 1, n):
+                a[j][k] = (a[j][k] * a[i][i] - a[j][i] * a[i][k]) // d[i]
+        d.append(a[i][i])
+    return d, a
 
 
 def roots(lat: GramLattice) -> List[Tuple[int, ...]]:
     """All lattice vectors of norm 2, as sorted coordinate tuples.
 
-    Complete by construction: the decomposition bounds each coordinate in
-    turn, innermost first, so every vector with Q(x) = 2 is visited.
+    Integer Fincke-Pohst enumeration (Math. Comp. 44, 1985) on the reduced
+    doubled Gram matrix A.  With D = lcm(d_i d_{i+1}) and
+    w_i = D / (d_i d_{i+1}), a root is an x with sum_i w_i (U_i . x)^2 = 4D.
+    Each coordinate, innermost first, ranges over the closed interval that
+    the remaining budget allows, so every root is visited and an empty range
+    is empty.
     """
     n = lat.rank
     if n > MAX_ROOT_RANK:
         raise ValueError(f"rank {n} exceeds root-search limit {MAX_ROOT_RANK}")
     reduced, u = _reduce_basis(lat.doubled_gram)
-    gram = [[Fraction(reduced[i][j], 2) for j in range(n)] for i in range(n)]
-    q = _decompose(gram)
-    target = Fraction(2)
+    d, rows = _bareiss_rows(reduced)
+    scale = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    w = [scale // (d[i] * d[i + 1]) for i in range(n)]
     found: List[Tuple[int, ...]] = []
     x = [0] * n
 
-    def sweep(i: int, budget: Fraction) -> None:
-        u = Fraction(0)
-        for j in range(i + 1, n):
-            if x[j]:
-                u += q[i][j] * x[j]
-        if budget < 0:
-            return
-        hi = _max_shift(u, budget / q[i][i])
-        lo = -_max_shift(-u, budget / q[i][i])
-        for t in range(lo, hi + 1):
+    def sweep(i: int, budget: int) -> None:
+        row, p = rows[i], d[i + 1]
+        c = sum(row[j] * x[j] for j in range(i + 1, n) if x[j])
+        s = isqrt(budget // w[i])
+        for t in range(-((s + c) // p), (s - c) // p + 1):
             x[i] = t
-            spent = q[i][i] * (t + u) * (t + u)
-            if i == 0:
-                if spent == budget:
-                    found.append(tuple(x))
-            else:
-                sweep(i - 1, budget - spent)
+            left = budget - w[i] * (p * t + c) ** 2
+            if i:
+                sweep(i - 1, left)
+            elif left == 0:
+                found.append(tuple(x))
         x[i] = 0
 
-    sweep(n - 1, target)
+    sweep(n - 1, 4 * scale)
     # convert from the reduced basis back to the caller's basis
-    out = []
-    for y in found:
-        if not any(y):
-            continue
-        v = tuple(
-            sum(y[i] * u[i][j] for i in range(n)) for j in range(n)
-        )
-        out.append(v)
+    out = [
+        tuple(sum(y[i] * u[i][j] for i in range(n)) for j in range(n))
+        for y in found
+    ]
     out.sort()
     return out
 
@@ -321,18 +296,25 @@ def identify_root_system(lat: GramLattice) -> RootSystemReport:
             simple.append(v)
 
     m = len(simple)
+    g = lat.doubled_gram
     adj: Dict[int, List[int]] = {i: [] for i in range(m)}
     for i in range(m):
         for j in range(i + 1, m):
-            p = lat.inner(simple[i], simple[j])
-            if p == 0:
+            # doubled product 2<simple[i], simple[j]>
+            p2 = sum(
+                a * g[r][c] * b
+                for r, a in enumerate(simple[i]) if a
+                for c, b in enumerate(simple[j]) if b
+            )
+            if p2 == 0:
                 continue
-            if p == -1:
+            if p2 == -2:
                 adj[i].append(j)
                 adj[j].append(i)
             else:
                 raise ValueError(
-                    f"simple roots meet with product {p}; not simply laced"
+                    f"simple roots meet with product {Fraction(p2, 2)}; "
+                    "not simply laced"
                 )
 
     unseen = set(range(m))
@@ -420,11 +402,20 @@ def lattice_from_json(text: str) -> GramLattice:
     except json.JSONDecodeError as e:
         raise ValueError(f"not valid JSON: {e}") from None
     try:
-        rank = payload["rank"]
-        gram = tuple(tuple(int(v) for v in row) for row in payload["doubled_gram"])
+        rank = _json_int("rank", payload["rank"])
+        gram = tuple(
+            tuple(_json_int("doubled_gram entry", v) for v in row)
+            for row in payload["doubled_gram"]
+        )
         scaling = payload["scaling"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed lattice object: {e}") from None
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        raise ValueError(f"rank must be an integer: {rank!r}")
     return GramLattice(rank, gram, scaling)
+
+
+def _json_int(what: str, v: object) -> int:
+    # JSON booleans load as bool, a subclass of int; floats and strings
+    # must not be truncated or parsed into integers
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{what} must be an integer: {v!r}")
+    return v

@@ -271,6 +271,18 @@ def test_lattice_non_integer_rank_is_error(capsys, tmp_path, rank):
     assert "rank" in rep["error"]
 
 
+@pytest.mark.parametrize("gram", [[[4.7, 0], [0, "4"]], [[True, 0], [0, 4]]])
+def test_lattice_non_integer_gram_is_error(capsys, tmp_path, gram):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"rank": 2, "doubled_gram": gram,
+                                "scaling": "unscaled"}))
+    rc, rep = invoke(capsys, "lattice", "identify", str(path))
+    assert rc == 1
+    assert rep["status"] == "error"
+    assert rep["outputs"] == {}
+    assert "doubled_gram" in rep["error"]
+
+
 def test_unknown_subcommand_is_error(capsys):
     rc, rep = invoke(capsys, "frobnicate")
     assert rc == 1

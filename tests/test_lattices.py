@@ -1,10 +1,23 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nodalcodes.gf2 import contains, de, make_code, simplex, word_to_string
+from nodalcodes.gf2 import (
+    codewords,
+    contains,
+    de,
+    is_doubly_even,
+    is_even,
+    make_code,
+    simplex,
+    word_to_string,
+)
 from nodalcodes.lattices import (
     GramLattice,
     construction_a,
@@ -59,6 +72,33 @@ def unimodular_shuffle(rng, lat, steps=6):
         for i in range(n)
     ]
     return GramLattice(n, tuple(tuple(row) for row in new), lat.scaling)
+
+
+def cartan(kind, n):
+    # doubled Gram matrix (twice the Cartan matrix) of A_n or D_n
+    if kind == "A":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    else:
+        edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    g = [[4 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        g[a][b] = g[b][a] = -2
+    return GramLattice(n, tuple(tuple(row) for row in g), "unscaled")
+
+
+@contextmanager
+def within(seconds):
+    # a hung search is interrupted, not waited for
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds}-s budget")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # --- construction ------------------------------------------------------------
@@ -129,6 +169,88 @@ def test_root_counts_match_ambient_oracle():
     for code, scaling in cases:
         lat = construction_a(code, scaling)
         assert len(roots(lat)) == ambient_root_count(code, scaling)
+
+
+def construction_a_basis(code):
+    # the basis construction_a documents: 0/1 lifts of the RREF generators,
+    # then 2e_c for each non-pivot coordinate c
+    k = code.length
+    pivots = {(g & -g).bit_length() - 1 for g in code.generators}
+    basis = [[(g >> c) & 1 for c in range(k)] for g in code.generators]
+    basis += [[2 * (i == c) for i in range(k)] for c in range(k) if c not in pivots]
+    return basis
+
+
+def code_roots(code, scaling):
+    # Construction-A roots read off the code (Conway-Sloane, SPLAG ch. 7),
+    # in ambient coordinates: at half scaling +-2e_i and every sign pattern
+    # on each weight-4 support; unscaled +-e_i +- e_j with e_i + e_j in C
+    k = code.length
+    out = set()
+    if scaling == "half":
+        for i in range(k):
+            for s in (2, -2):
+                out.add(tuple(s * (j == i) for j in range(k)))
+        for w in codewords(code):
+            if bin(w).count("1") == 4:
+                support = [i for i in range(k) if w >> i & 1]
+                for signs in product((1, -1), repeat=4):
+                    v = [0] * k
+                    for i, s in zip(support, signs):
+                        v[i] = s
+                    out.add(tuple(v))
+    else:
+        for i, j in combinations(range(k), 2):
+            if contains(code, (1 << i) | (1 << j)):
+                for si, sj in product((1, -1), repeat=2):
+                    v = [0] * k
+                    v[i], v[j] = si, sj
+                    out.add(tuple(v))
+    return out
+
+
+@st.composite
+def codes_with_rule(draw, scaling):
+    # random codes of length <= 16: candidate words of small even weight are
+    # kept when the span still meets the weight rule of the scaling
+    k = draw(st.integers(1, 16))
+    rule = is_doubly_even if scaling == "half" else is_even
+    gens = []
+    for _ in range(draw(st.integers(0, 2 * k))):
+        size = min(k, draw(st.sampled_from((2, 4, 6, 8))))
+        support = draw(st.lists(st.integers(0, k - 1), min_size=size,
+                                max_size=size, unique=True))
+        word = sum(1 << i for i in support)
+        if rule(make_code(gens + [word], k)):
+            gens.append(word)
+    return make_code(gens, k)
+
+
+@pytest.mark.parametrize("scaling", ["half", "unscaled"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_roots_match_code_oracle(scaling, data):
+    code = data.draw(codes_with_rule(scaling))
+    lat = construction_a(code, scaling)
+    basis = construction_a_basis(code)
+    assert lat.doubled_gram == tuple(
+        tuple(sum(a * b for a, b in zip(x, y)) * (2 if scaling == "unscaled" else 1)
+              for y in basis)
+        for x in basis
+    )
+    with within(2.0):
+        found = roots(lat)
+    ambient = [
+        tuple(sum(c * b[j] for c, b in zip(r, basis)) for j in range(code.length))
+        for r in found
+    ]
+    assert len(ambient) == len(set(ambient))
+    assert set(ambient) == code_roots(code, scaling)
+    weights = [bin(w).count("1") for w in codewords(code)]
+    if scaling == "half":
+        assert len(ambient) == 2 * code.length + 16 * weights.count(4)
+    else:
+        assert len(ambient) == 4 * weights.count(2)
 
 
 # --- identification ----------------------------------------------------------
@@ -206,8 +328,53 @@ def test_identify_against_textbook_gram():
 def test_not_simply_laced_raises():
     # two norm-2 vectors meeting with product 1/2: no ADE match possible
     lat = GramLattice(2, ((4, 1), (1, 4)), "half")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="product 1/2; not simply laced"):
         identify_root_system(lat)
+
+
+E8_WORDS = ["11110000", "00111100", "00001111", "01010101"]
+
+RANK_8_TO_16 = (
+    [(f"de({n}) half", lambda n=n: construction_a(de(n), "half"),
+      (f"D{2 * n}",), 4 * n * (2 * n - 1)) for n in range(4, 9)]
+    + [(f"even({n})", lambda n=n: construction_a(even_code(n), "unscaled"),
+        (f"D{n}",), 2 * n * (n - 1)) for n in range(8, 17)]
+    + [("simplex(4) half", lambda: construction_a(simplex(4), "half"),
+        ("A1",) * 15, 30),
+       ("e8+e8 half",
+        lambda: construction_a(
+            make_code([w + "0" * 8 for w in E8_WORDS]
+                      + ["0" * 8 + w for w in E8_WORDS], 16), "half"),
+        ("E8", "E8"), 480),
+       ("Cartan D8", lambda: cartan("D", 8), ("D8",), 112)]
+)
+
+
+@pytest.mark.parametrize("name,build,components,root_count", RANK_8_TO_16,
+                         ids=[case[0] for case in RANK_8_TO_16])
+def test_identify_rank_8_to_16_within_budget(name, build, components, root_count):
+    # the paper's doubled codes de(n) up to the root-rank limit: every
+    # search must stop, and well inside the budget
+    lat = build()
+    with within(1.0):
+        report = identify_root_system(lat)
+    assert report.components == components
+    assert report.root_count == root_count
+    assert report.full_rank
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in "AD" for n in range(5, 9)])
+def test_identify_cartan_under_basis_change(kind, n):
+    rng = random.Random(f"{kind}{n}")
+    base = cartan(kind, n)
+    roots_expected = n * (n + 1) if kind == "A" else 2 * n * (n - 1)
+    for _ in range(5):
+        lat = unimodular_shuffle(rng, base, steps=2 * n)
+        with within(1.0):
+            report = identify_root_system(lat)
+        assert report.components == (f"{kind}{n}",)
+        assert report.root_count == roots_expected
+        assert discriminant(lat) == discriminant(base)
 
 
 # --- discriminant ------------------------------------------------------------
@@ -258,3 +425,8 @@ def test_lattice_json_rejects_garbage():
         lattice_from_json("not json")
     with pytest.raises(ValueError):
         lattice_from_json('{"rank": 2}')
+    # non-integer Gram entries are rejected, not truncated or parsed
+    for entry in ("4.7", '"4"', "true", "null", "4.0"):
+        with pytest.raises(ValueError, match="doubled_gram entry"):
+            lattice_from_json('{"rank": 2, "doubled_gram": [[%s, 0], [0, 4]], '
+                              '"scaling": "unscaled"}' % entry)
