@@ -9,9 +9,14 @@ Every subcommand prints exactly one JSON report to standard output:
 Exit code 0 means ok, 2 means a successfully derived impossibility (the
 mathematics says "no such surface/involution"), 1 means tool failure.  A
 status of "error" always comes with empty outputs and a top-level "error"
-message.  `code enumerate` optionally persists its results as a JSONL cache
-(one JSON object per line, keyed by the canonical generator matrix); reruns
-with identical inputs reuse the file byte for byte.  The NODALCODES_CACHE
+message.  An error report keeps the parsed arguments as its inputs.
+
+`code enumerate` optionally persists its results as a JSONL cache: a stamp
+line (package version, algorithm id, code count), then one JSON object per
+code.  A rerun with identical inputs reuses the file only if the stamp
+matches and every line is the serialization of a canonical code of the
+requested length, dimension range and weight rule, in order; otherwise it
+recomputes and replaces the file atomically.  The NODALCODES_CACHE
 environment variable overrides --cache.
 """
 
@@ -24,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import covers, gf2, lattices
+from . import __version__, covers, gf2, lattices
 from .classify import (
     Step,
     classify_involution,
@@ -138,6 +143,55 @@ def _cache_lines(codes: Sequence[gf2.BinaryCode]) -> List[str]:
     ]
 
 
+# names the enumeration and canonical-form definitions a cache file holds
+_CACHE_ALGORITHM = "enumerate_codes/aut-orbits/column-major-canonical"
+
+
+def _cache_stamp(count: int) -> str:
+    return json.dumps(
+        {"algorithm": _CACHE_ALGORITHM, "count": count,
+         "nodalcodes": __version__},
+        sort_keys=True, separators=(",", ":"),
+    )
+
+
+def _read_cache(path: Path, args: argparse.Namespace) -> Optional[List[str]]:
+    """The code lines of a cache file this version wrote for these
+    arguments, or None if the file is missing, stale or fails a check."""
+    try:
+        stamp, *lines = path.read_text().splitlines()
+        if stamp != _cache_stamp(len(lines)):
+            return None
+        ok = gf2._admissible(args.weights)
+        previous: Tuple[int, Tuple[int, ...]] = (-1, ())
+        for line in lines:
+            code = gf2.make_code(json.loads(line)["generators"], args.length)
+            key = (code.dim, code.generators)
+            if (_cache_lines([code]) != [line]
+                    or not args.dim_min <= code.dim <= args.dim_max
+                    or key <= previous
+                    or gf2.canonical_form(code)[0] != code
+                    or not all(ok(h) for h in gf2.weight_enumerator(code)
+                               if h)):
+                return None
+            previous = key
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return lines
+
+
+def _write_cache(path: Path, lines: List[str]) -> None:
+    # a reader sees the old file or the new one, never a partial write
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join([_cache_stamp(len(lines))] + lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_code_enumerate(args: argparse.Namespace) -> Handler:
     inputs = {
         "length": args.length,
@@ -155,18 +209,14 @@ def _cmd_code_enumerate(args: argparse.Namespace) -> Handler:
             f"_dim{args.dim_min}-{args.dim_max}.jsonl"
         )
         cache_file = Path(cache_dir) / name
-        if cache_file.exists():
-            lines = cache_file.read_text().splitlines()
+        lines = _read_cache(cache_file, args)
     if lines is None:
         codes = gf2.enumerate_codes(
             args.length, args.weights, args.dim_min, args.dim_max
         )
         lines = _cache_lines(codes)
         if cache_file is not None:
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            cache_file.write_text(
-                "\n".join(lines) + ("\n" if lines else "")
-            )
+            _write_cache(cache_file, lines)
     outputs = {
         "count": len(lines),
         "codes": [json.loads(line) for line in lines],
@@ -536,7 +586,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         inputs, outputs, steps, status = args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        _emit(_error_report(args.command, {}, str(exc)), pretty)
+        inputs = {
+            name: value for name, value in vars(args).items()
+            if name not in ("handler", "command", "pretty", "group")
+        }
+        _emit(_error_report(args.command, inputs, str(exc)), pretty)
         return 1
     report = {
         "command": args.command,

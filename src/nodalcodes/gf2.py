@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
 MAX_LENGTH = 32
 
@@ -277,9 +279,24 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
     canonical matrix.  The search depends only on the RREF generator matrix,
     so equal codes always yield identical witnesses.
     """
+    canon, images, _ = _canonical_search(code)
+    return canon, images
+
+
+def _canonical_search(
+    code: BinaryCode,
+) -> Tuple[BinaryCode, Tuple[int, ...], List[List[int]]]:
+    """The search behind ``canonical_form``; also returns the automorphisms
+    it recorded, as image lists.
+
+    With the transpositions of equal columns, which the search never
+    explores, they generate Aut(code): every leaf reaching the canonical
+    matrix is either visited, and so recorded, or pruned as the image of an
+    explored subtree under those permutations.
+    """
     k, r = code.length, code.dim
     if r == 0:
-        return code, tuple(range(k))
+        return code, tuple(range(k)), []
 
     gens = code.generators
     # Static fingerprint of each column against the fixed RREF basis; equal
@@ -355,7 +372,8 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
             if explored and auts:
                 if len(auts) != n_auts:
                     n_auts = len(auts)
-                    orbit = _orbits(k, chosen, auts)
+                    orbit = _orbits(k, [a for a in auts
+                                        if all(a[p] == p for p in chosen)])
                 if any(orbit[c] == orbit[e] for e in explored):
                     continue
             if hit:
@@ -392,13 +410,13 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
     images = [0] * k
     for pos, c in enumerate(best_chosen):
         images[c] = pos
-    return BinaryCode(k, tuple(canon_gens)), tuple(images)
+    return BinaryCode(k, tuple(canon_gens)), tuple(images), auts
 
 
-def _orbits(k: int, prefix: List[int], auts: List[List[int]]) -> List[int]:
-    """Orbit label of every coordinate under the group generated by the
-    automorphisms in ``auts`` that fix ``prefix`` pointwise."""
-    parent = list(range(k))
+def _orbits(n: int, maps: Iterable[Sequence[int]]) -> List[int]:
+    """Orbit label of every point of range(n) under the group generated by
+    ``maps``, each a list of images of the points."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -406,11 +424,27 @@ def _orbits(k: int, prefix: List[int], auts: List[List[int]]) -> List[int]:
             x = parent[x]
         return x
 
-    for aut in auts:
-        if all(aut[p] == p for p in prefix):
-            for c in range(k):
-                parent[find(c)] = find(aut[c])
-    return [find(c) for c in range(k)]
+    for images in maps:
+        for c in range(n):
+            parent[find(c)] = find(images[c])
+    return [find(c) for c in range(n)]
+
+
+def _automorphisms(code: BinaryCode) -> List[List[int]]:
+    """Generators of Aut(code), as image lists: the automorphisms its
+    canonical search records and the transpositions of equal columns."""
+    k = code.length
+    perms = _canonical_search(code)[2]
+    columns: Dict[Tuple[int, ...], List[int]] = {}
+    for c in range(k):
+        column = tuple((g >> c) & 1 for g in code.generators)
+        columns.setdefault(column, []).append(c)
+    for cs in columns.values():
+        for a, b in zip(cs, cs[1:]):
+            swap = list(range(k))
+            swap[a], swap[b] = b, a
+            perms.append(swap)
+    return perms
 
 
 def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
@@ -476,6 +510,12 @@ def _admissible(weights: str):
     raise ValueError(f"unknown weight rule: {weights!r} (use '4' or 'div4')")
 
 
+# Children of each canonical base under each weight rule, kept for the life
+# of the process: one entry per (class, rule), so the cache is bounded by the
+# number of classes enumerated.
+_EXTENSIONS: Dict[Tuple[BinaryCode, str], FrozenSet[BinaryCode]] = {}
+
+
 def enumerate_codes(
     length: int,
     weights: str,
@@ -487,7 +527,12 @@ def enumerate_codes(
 
     ``weights`` is "4" (every nonzero weight exactly 4) or "div4" (every
     nonzero weight divisible by 4).  Codes are returned in canonical form,
-    sorted by (dimension, generator matrix).  Practical for length <= 12.
+    sorted by (dimension, generator matrix).  Every class of dimension
+    d + 1 is a class of dimension d plus one word, and a base is extended
+    by one word per orbit of its automorphism group (see ``_extensions``).
+    Measured reach of "div4" from a cold process on a 2-vCPU Xeon VM:
+    about 0.3 s at length 13, 1.3 s at 14, 5 s at 15 and 36 s at 16,
+    where both doubly even self-dual classes (e8 + e8 and d16+) appear.
     """
     if not 1 <= length <= MAX_LENGTH:
         raise ValueError(f"length out of range: {length}")
@@ -495,29 +540,24 @@ def enumerate_codes(
         raise ValueError(f"invalid dimension range: [{dim_min}, {dim_max}]")
     ok = _admissible(weights)
 
-    pool = [
-        sum(1 << i for i in supp)
-        for h in range(4, length + 1, 4)
-        if ok(h)
-        for supp in combinations(range(length), h)
-    ]
-
+    pool: Optional[List[int]] = None
     levels: Dict[int, List[BinaryCode]] = {0: [zero_code(length)]}
     current = levels[0]
     for d in range(dim_max):
         found = set()
         for base in current:
-            span = codewords(base)
-            span_set = set(span)
-            for w in pool:
-                if w in span_set:
-                    continue
-                # one representative per coset keeps each new span unique
-                if any(w ^ c < w for c in span):
-                    continue
-                if all(ok((w ^ c).bit_count()) for c in span if c):
-                    bigger = BinaryCode(length, _rref(base.generators + (w,)))
-                    found.add(canonical_form(bigger)[0])
+            children = _EXTENSIONS.get((base, weights))
+            if children is None:
+                if pool is None:
+                    pool = [
+                        sum(1 << i for i in supp)
+                        for h in range(4, length + 1, 4)
+                        if ok(h)
+                        for supp in combinations(range(length), h)
+                    ]
+                children = _extensions(base, ok, pool)
+                _EXTENSIONS[base, weights] = children
+            found |= children
         if not found:
             break
         current = sorted(found, key=lambda c: c.generators)
@@ -527,6 +567,61 @@ def enumerate_codes(
     for d in range(dim_min, dim_max + 1):
         out.extend(levels.get(d, []))
     return out
+
+
+def _extensions(
+    base: BinaryCode, ok, pool: List[int]
+) -> FrozenSet[BinaryCode]:
+    """Canonical forms of the codes spanned by ``base`` and one word of
+    ``pool`` whose nonzero weights all pass ``ok``.
+
+    The new span depends only on the coset w + base, so each coset is named
+    by its word with the base's pivot bits cleared.  An automorphism σ of
+    the base maps base + w onto base + σ(w), so one coset per orbit of
+    Aut(base) needs a canonical search (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998).
+    """
+    k, gens = base.length, base.generators
+    span = codewords(base)
+    pivots = [(g & -g, g) for g in gens]
+
+    def coset(w: int) -> int:
+        for bit, g in pivots:
+            if w & bit:
+                w ^= g
+        return w
+
+    verdict: Dict[int, bool] = {}
+    for w in pool:
+        x = coset(w)
+        if x and x not in verdict:
+            verdict[x] = all(ok((x ^ c).bit_count()) for c in span)
+    cosets = [x for x, good in verdict.items() if good]
+    if not cosets:
+        return frozenset()
+
+    slot = {x: i for i, x in enumerate(cosets)}
+    maps = []
+    for perm in _automorphisms(base):
+        # the coset map is linear and the cosets' words avoid the pivot
+        # columns, so only the moved coordinates change a word
+        moved = [(1 << c, (1 << c) ^ coset(1 << perm[c]))
+                 for c in range(k) if perm[c] != c]
+        images = []
+        for x in cosets:
+            y = x
+            for bit, delta in moved:
+                if x & bit:
+                    y ^= delta
+            images.append(slot[y])
+        maps.append(images)
+    first: Dict[int, int] = {}
+    for x, label in sorted(zip(cosets, _orbits(len(cosets), maps))):
+        first.setdefault(label, x)
+    return frozenset(
+        canonical_form(BinaryCode(k, _rref(gens + (x,))))[0]
+        for x in first.values()
+    )
 
 
 # ---------------------------------------------------------------------------

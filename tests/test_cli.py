@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nodalcodes import gf2
+from nodalcodes import __version__, gf2
 from nodalcodes.cli import run
 from nodalcodes.gf2 import de, format_code, permute, simplex
 
@@ -100,7 +100,12 @@ def test_enumerate_cache_is_deterministic(capsys, tmp_path):
     second = open(cache_file, "rb").read()
     assert first == second
     assert rep["outputs"]["codes"] == rep2["outputs"]["codes"]
-    lines = first.decode().splitlines()
+    stamp, *lines = first.decode().splitlines()
+    assert json.loads(stamp) == {
+        "algorithm": "enumerate_codes/aut-orbits/column-major-canonical",
+        "count": rep["outputs"]["count"],
+        "nodalcodes": __version__,
+    }
     assert len(lines) == rep["outputs"]["count"]
     for line in lines:
         row = json.loads(line)
@@ -108,21 +113,77 @@ def test_enumerate_cache_is_deterministic(capsys, tmp_path):
                             "weight_enumerator"}
 
 
-def test_enumerate_cache_hit_skips_recomputation(capsys, tmp_path):
-    args = ("code", "enumerate", "--length", "4", "--weights", "4",
-            "--dim-min", "1", "--dim-max", "4",
+def test_enumerate_cache_hit_skips_recomputation(capsys, tmp_path,
+                                                 monkeypatch):
+    args = ("code", "enumerate", "--length", "8", "--weights", "div4",
+            "--dim-min", "1", "--dim-max", "8",
             "--cache", str(tmp_path))
     rc, rep = invoke(capsys, *args)
+
+    def refuse(*a):
+        raise AssertionError("recomputed despite a valid cache file")
+
+    monkeypatch.setattr(gf2, "enumerate_codes", refuse)
+    rc2, rep2 = invoke(capsys, *args)
+    assert rc2 == 0
+    assert rep2 == rep
+
+
+ENUMERATE_7 = ("code", "enumerate", "--length", "7", "--weights", "4",
+               "--dim-min", "1", "--dim-max", "7")
+
+
+def tamper_truncate(text):
+    return text.splitlines(keepends=True)[0]
+
+
+def tamper_drop_last(text):
+    return "".join(text.splitlines(keepends=True)[:-1])
+
+
+def tamper_garbage(text):
+    return "\x00not a cache\n{]\n"
+
+
+def tamper_repeat_line(text):
+    stamp, first, *rest = text.splitlines(keepends=True)
+    return stamp + first * (1 + len(rest))
+
+
+def tamper_non_canonical(text):
+    # same stamp and count, but the first code is not in canonical form
+    stamp, first, *rest = text.splitlines(keepends=True)
+    row = json.loads(first)
+    row["generators"] = [g[::-1] for g in row["generators"]]
+    line = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    return stamp + line + "\n" + "".join(rest)
+
+
+def tamper_old_version(text):
+    return text.replace(__version__, "0.0.0", 1)
+
+
+@pytest.mark.parametrize("tamper", [
+    tamper_truncate, tamper_drop_last, tamper_garbage, tamper_repeat_line,
+    tamper_non_canonical, tamper_old_version,
+])
+def test_enumerate_bad_cache_is_recomputed(capsys, tmp_path, tamper):
+    # a file that is not exactly what this version writes is a miss: the
+    # report is recomputed and the file replaced
+    rc, rep = invoke(capsys, *ENUMERATE_7, "--cache", str(tmp_path))
     path = rep["outputs"]["cache_file"]
-    sentinel = json.dumps(
-        {"length": 4, "dim": 1, "generators": ["0000"],
-         "weight_enumerator": {"0": 1}},
-        sort_keys=True, separators=(",", ":"),
-    )
+    good = open(path).read()
+    assert rep["outputs"]["count"] == 3
+    bad = tamper(good)
+    assert bad != good
     with open(path, "w") as fh:
-        fh.write(sentinel + "\n" + sentinel + "\n")
-    rc, rep = invoke(capsys, *args)
-    assert rep["outputs"]["count"] == 2  # served from the cache verbatim
+        fh.write(bad)
+    rc2, rep2 = invoke(capsys, *ENUMERATE_7, "--cache", str(tmp_path))
+    assert rc2 == 0
+    assert rep2 == rep
+    assert open(path).read() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "enumerate_len7_w4_dim1-7.jsonl"]
 
 
 def test_enumerate_env_overrides_cache_flag(capsys, tmp_path, monkeypatch):
@@ -257,6 +318,18 @@ def test_malformed_code_file_is_error(capsys, tmp_path):
     rc, rep = invoke(capsys, "code", "analyze", str(path))
     assert rc == 1
     assert rep["status"] == "error"
+
+
+def test_error_report_keeps_inputs(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("8 x\n")
+    rc = run(["code", "analyze", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["status"] == "error"
+    assert rep["inputs"] == {"file": str(path)}
 
 
 @pytest.mark.parametrize("rank", ["2", True, 2.0])

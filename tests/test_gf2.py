@@ -1,11 +1,14 @@
 import json
 import random
+import signal
 import time
+from contextlib import contextmanager
 from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 
+from nodalcodes import gf2
 from nodalcodes.gf2 import (
     BinaryCode,
     canonical_form,
@@ -268,6 +271,82 @@ def test_canonical_form_high_symmetry_within_budget(name):
     assert forms[0] == forms[1]
 
 
+def brute_automorphism_count(code):
+    # every one of the k! permutations, assigned coordinate by coordinate;
+    # a branch is cut once a codeword inside the assigned prefix leaves the
+    # code, which no completion can repair
+    k, words = code.length, set(codewords(code))
+    inside = [[] for _ in range(k)]
+    for w in words:
+        if w:
+            inside[w.bit_length() - 1].append(w)
+
+    def extend(images):
+        j = len(images)
+        if j == k:
+            return 1
+        total = 0
+        for t in range(k):
+            if t in images:
+                continue
+            images.append(t)
+            if all(sum(1 << images[i] for i in range(k) if (w >> i) & 1)
+                   in words for w in inside[j]):
+                total += extend(images)
+            images.pop()
+        return total
+
+    return extend([])
+
+
+def group_order(k, generators):
+    # closure of the identity under right multiplication by the generators
+    identity = tuple(range(k))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in generators:
+                q = tuple(g[p[i]] for i in range(k))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
+
+
+def automorphism_cases():
+    cases = {f"de({n})": de(n) for n in range(2, 6)}
+    cases["simplex(3)"] = simplex(3)
+    rng = random.Random(1998)
+    for j in range(40):
+        k = rng.randrange(1, 8)
+        rows = [rng.randrange(1, 1 << k) for _ in range(rng.randrange(0, k))]
+        cases[f"random #{j}"] = make_code(rows, k)
+    return cases
+
+
+def test_automorphisms_generate_the_whole_group():
+    # the enumeration extends each base once per orbit of these generators,
+    # so each must be an automorphism and together they must reach every one
+    for name, code in automorphism_cases().items():
+        recorded = gf2._canonical_search(code)[2]
+        generators = gf2._automorphisms(code)
+        assert all(g in generators for g in recorded), name
+        for g in generators:
+            assert permute(code, g) == code, name
+        assert group_order(code.length, generators) == \
+            brute_automorphism_count(code), name
+
+
+def test_automorphism_group_orders():
+    # |Aut(de(n))| = 2^n n! for n >= 3 (pair swaps and pair permutations),
+    # Aut(de(2)) = S_4, Aut(simplex(3)) = GL(3, 2)
+    assert brute_automorphism_count(de(2)) == 24
+    assert brute_automorphism_count(de(4)) == 2 ** 4 * 24
+    assert brute_automorphism_count(simplex(3)) == 168
+
+
 def test_equivalent_reversed_de3():
     a = de(3)
     b = permute(a, (5, 4, 3, 2, 1, 0))
@@ -403,9 +482,10 @@ def test_enumerate_doubly_even_self_orthogonal():
 
 
 def test_enumerate_matches_golden():
-    # generator matrices of every class for length <= 12, recorded from the
-    # exhaustive search before it was pruned by automorphisms; the canonical
-    # matrix is part of the output, so it must never drift
+    # generator matrices of every class for length <= 13, recorded from the
+    # search that canonicalized every child (length <= 12 also before the
+    # canonical search was pruned by automorphisms); the canonical matrix is
+    # part of the output, so it must never drift
     golden = json.loads(
         (Path(__file__).parent / "golden" / "enumerate_codes.json").read_text()
     )
@@ -414,9 +494,36 @@ def test_enumerate_matches_golden():
             list(c.generators) for c in enumerate_codes(length, w, 0, length)
         ]
         for w in ("4", "div4")
-        for length in range(1, 13)
+        for length in range(1, 14)
     }
     assert got == golden
+
+
+@contextmanager
+def within(seconds):
+    # a slow search is interrupted, not waited for
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds}-s budget")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_enumerate_length_13_within_budget(monkeypatch):
+    # the paper's range ends at k = 13; canonicalizing every admissible
+    # child took about 2 s on a 2-vCPU Xeon VM, one search per orbit about
+    # 0.25 s
+    monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+    canonical_form.cache_clear()
+    with within(1.0):
+        classes = enumerate_codes(13, "div4", 1, 13)
+    assert len(classes) == 28
+    assert max(c.dim for c in classes) == 5
 
 
 def test_enumerate_rejects_bad_arguments():
