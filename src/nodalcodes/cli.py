@@ -9,7 +9,13 @@ Every subcommand prints exactly one JSON report to standard output:
 Exit code 0 means ok, 2 means a successfully derived impossibility (the
 mathematics says "no such surface/involution"), 1 means tool failure.  A
 status of "error" always comes with empty outputs and a top-level "error"
-message.  An error report keeps the parsed arguments as its inputs.
+message.
+
+Each subcommand is declared once, by the `_command` decorator on its
+handler: its name, its help text and its argparse arguments.
+`_build_parser` builds every group and leaf parser from that table.  A
+report's inputs are the parsed arguments, minus the dispatch fields, for
+ok and error reports alike.
 
 `code enumerate` optionally persists its results as a JSONL cache: a stamp
 line (package version, algorithm id, code count), then one JSON object per
@@ -26,8 +32,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, covers, gf2, lattices
 from .classify import (
@@ -42,7 +49,29 @@ from .classify import (
 
 __all__ = ["run", "main"]
 
-Handler = Tuple[Dict[str, object], Dict[str, object], List[Step], str]
+# what a handler returns: outputs, derivation, status
+Result = Tuple[Dict[str, object], List[Step], str]
+Handler = Callable[[argparse.Namespace], Result]
+
+# "group leaf" -> (handler, help, add_argument parameters), in --help order.
+# Handlers reach library functions through this module's globals at call
+# time, so a tracer that rebinds those names sees every call.
+_COMMANDS: Dict[str, Tuple[Handler, str, tuple]] = {}
+
+
+def _command(name: str, help: str, *arguments: tuple):  # noqa: A002
+    """Register the decorated handler as subcommand `name`."""
+
+    def register(handler: Handler) -> Handler:
+        _COMMANDS[name] = (handler, help, arguments)
+        return handler
+
+    return register
+
+
+def _arg(*flags: str, **kwargs: object) -> tuple:
+    """The parameters of one add_argument call."""
+    return flags, kwargs
 
 
 class _UsageError(Exception):
@@ -78,62 +107,6 @@ def _code_dict(code: gf2.BinaryCode) -> Dict[str, object]:
 
 def _load_code(path: str) -> gf2.BinaryCode:
     return gf2.parse_code(Path(path).read_text())
-
-
-def _case_dict(case) -> Dict[str, object]:
-    return {
-        "label": case.label,
-        "k": case.k,
-        "rho_Y": case.rho_Y,
-        "K2_Y": case.K2_Y,
-        "Y_description": case.Y_description,
-        "genus_of_pencil": case.genus_of_pencil,
-        "derivation": [s.as_dict() for s in case.derivation],
-    }
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers (each returns inputs, outputs, derivation, status)
-# ---------------------------------------------------------------------------
-
-
-def _cmd_code_analyze(args: argparse.Namespace) -> Handler:
-    code = _load_code(args.file)
-    reduced, support = gf2.reduce(code)
-    outputs = dict(_code_dict(code))
-    outputs.update(
-        {
-            "is_even": gf2.is_even(code),
-            "is_doubly_even": gf2.is_doubly_even(code),
-            "reduced_length": reduced.length,
-            "reduced_support": list(support),
-            "de_n": gf2.recognize_de(code),
-        }
-    )
-    return {"file": args.file}, outputs, [], "ok"
-
-
-def _cmd_code_de(args: argparse.Namespace) -> Handler:
-    code = gf2.de(args.n)
-    return {"n": args.n}, _code_dict(code), [], "ok"
-
-
-def _cmd_code_equiv(args: argparse.Namespace) -> Handler:
-    a = _load_code(args.a)
-    b = _load_code(args.b)
-    perm = gf2.equivalent(a, b)
-    outputs = {
-        "equivalent": perm is not None,
-        "permutation": list(perm) if perm is not None else None,
-    }
-    return {"a": args.a, "b": args.b}, outputs, [], "ok"
-
-
-def _cmd_code_recognize_de(args: argparse.Namespace) -> Handler:
-    code = _load_code(args.file)
-    n = gf2.recognize_de(code)
-    outputs = {"n": n, "essentially_de": n is not None}
-    return {"file": args.file}, outputs, [], "ok"
 
 
 def _cache_lines(codes: Sequence[gf2.BinaryCode]) -> List[str]:
@@ -192,14 +165,57 @@ def _write_cache(path: Path, lines: List[str]) -> None:
         raise
 
 
-def _cmd_code_enumerate(args: argparse.Namespace) -> Handler:
-    inputs = {
-        "length": args.length,
-        "weights": args.weights,
-        "dim_min": args.dim_min,
-        "dim_max": args.dim_max,
-        "cache": args.cache,
+# ---------------------------------------------------------------------------
+# subcommand handlers (each returns outputs, derivation, status)
+# ---------------------------------------------------------------------------
+
+
+@_command("code analyze",
+          "weights, evenness, reduction and recognition of a code",
+          _arg("file"))
+def _code_analyze(args: argparse.Namespace) -> Result:
+    code = _load_code(args.file)
+    reduced, support = gf2.reduce(code)
+    outputs = {
+        **_code_dict(code),
+        "is_even": gf2.is_even(code),
+        "is_doubly_even": gf2.is_doubly_even(code),
+        "reduced_length": reduced.length,
+        "reduced_support": list(support),
+        "de_n": gf2.recognize_de(code),
     }
+    return outputs, [], "ok"
+
+
+@_command("code de", "the doubled even-weight code on 2n coordinates",
+          _arg("n", type=int))
+def _code_de(args: argparse.Namespace) -> Result:
+    return _code_dict(gf2.de(args.n)), [], "ok"
+
+
+@_command("code equiv", "decide coordinate-permutation equivalence",
+          _arg("a"), _arg("b"))
+def _code_equiv(args: argparse.Namespace) -> Result:
+    a = _load_code(args.a)
+    b = _load_code(args.b)
+    perm = gf2.equivalent(a, b)
+    outputs = {
+        "equivalent": perm is not None,
+        "permutation": list(perm) if perm is not None else None,
+    }
+    return outputs, [], "ok"
+
+
+@_command("code enumerate",
+          "all codes with the given weight constraint, one per permutation "
+          "class",
+          _arg("--length", type=int, required=True),
+          _arg("--weights", choices=("4", "div4"), required=True),
+          _arg("--dim-min", type=int, required=True),
+          _arg("--dim-max", type=int, required=True),
+          _arg("--cache", default=None,
+               help="directory for the JSONL result cache"))
+def _code_enumerate(args: argparse.Namespace) -> Result:
     cache_dir = os.environ.get("NODALCODES_CACHE") or args.cache
     cache_file: Optional[Path] = None
     lines: Optional[List[str]] = None
@@ -222,10 +238,22 @@ def _cmd_code_enumerate(args: argparse.Namespace) -> Handler:
         "codes": [json.loads(line) for line in lines],
         "cache_file": str(cache_file) if cache_file is not None else None,
     }
-    return inputs, outputs, [], "ok"
+    return outputs, [], "ok"
 
 
-def _cmd_lattice_build(args: argparse.Namespace) -> Handler:
+@_command("code recognize-de",
+          "is the reduced code a doubled even-weight code?", _arg("file"))
+def _code_recognize_de(args: argparse.Namespace) -> Result:
+    n = gf2.recognize_de(_load_code(args.file))
+    return {"n": n, "essentially_de": n is not None}, [], "ok"
+
+
+@_command("lattice build", "Construction-A lattice of a code",
+          _arg("code_file"),
+          _arg("--scaling", choices=lattices.SCALINGS, required=True),
+          _arg("--out", default=None,
+               help="also write the lattice JSON to this file"))
+def _lattice_build(args: argparse.Namespace) -> Result:
     code = _load_code(args.code_file)
     lat = lattices.construction_a(code, args.scaling)
     text = lattices.lattice_to_json(lat)
@@ -233,27 +261,27 @@ def _cmd_lattice_build(args: argparse.Namespace) -> Handler:
         Path(args.out).write_text(text + "\n")
     outputs = json.loads(text)
     outputs["out"] = args.out
-    inputs = {"code_file": args.code_file, "scaling": args.scaling}
-    return inputs, outputs, [], "ok"
+    return outputs, [], "ok"
 
 
-def _cmd_lattice_identify(args: argparse.Namespace) -> Handler:
+@_command("lattice identify", "root system type and discriminant",
+          _arg("file"))
+def _lattice_identify(args: argparse.Namespace) -> Result:
     lat = lattices.lattice_from_json(Path(args.file).read_text())
-    report = lattices.identify_root_system(lat)
-    outputs = dict(report.as_dict())
-    outputs["discriminant"] = str(lattices.discriminant(lat))
-    return {"file": args.file}, outputs, [], "ok"
+    outputs = {**lattices.identify_root_system(lat).as_dict(),
+               "discriminant": str(lattices.discriminant(lat))}
+    return outputs, [], "ok"
 
 
-def _cmd_cover_invariants(args: argparse.Namespace) -> Handler:
-    inputs = {
-        "chi": args.chi,
-        "k2": args.k2,
-        "c2": args.c2,
-        "r": args.r,
-        "m": args.m,
-        "kodaira": args.kodaira,
-    }
+@_command("cover invariants",
+          "invariants of the 2^r-cover branched on m nodal curves",
+          _arg("--chi", type=int, required=True),
+          _arg("--k2", type=int, required=True),
+          _arg("--c2", type=int, default=None),
+          _arg("--r", type=int, required=True),
+          _arg("--m", type=int, required=True),
+          _arg("--kodaira", choices=covers.KODAIRA, default="unknown"))
+def _cover_invariants(args: argparse.Namespace) -> Result:
     base = covers.SurfaceInvariants(
         chi=args.chi, K2=args.k2, c2=args.c2, kodaira=args.kodaira
     )
@@ -280,10 +308,14 @@ def _cmd_cover_invariants(args: argparse.Namespace) -> Handler:
         "blowdowns": result.blowdowns,
         "warnings": list(result.warnings),
     }
-    return inputs, outputs, steps, "ok"
+    return outputs, steps, "ok"
 
 
-def _cmd_bound_isotropic(args: argparse.Namespace) -> Handler:
+@_command("bound isotropic",
+          "minimum code rank for k nodal curves at Picard rank rho",
+          _arg("--k", type=int, required=True),
+          _arg("--rho", type=int, required=True))
+def _bound_isotropic(args: argparse.Namespace) -> Result:
     bound = covers.isotropic_bound(args.k, args.rho)
     steps = [
         Step(
@@ -294,15 +326,14 @@ def _cmd_bound_isotropic(args: argparse.Namespace) -> Handler:
             {"k": args.k, "rho": args.rho, "bound": bound},
         )
     ]
-    return (
-        {"k": args.k, "rho": args.rho},
-        {"bound": bound},
-        steps,
-        "ok",
-    )
+    return {"bound": bound}, steps, "ok"
 
 
-def _cmd_bound_miyaoka(args: argparse.Namespace) -> Handler:
+@_command("bound miyaoka",
+          "maximum node count from the orbifold BMY inequality",
+          _arg("--k2", type=int, required=True),
+          _arg("--c2", type=int, required=True))
+def _bound_miyaoka(args: argparse.Namespace) -> Result:
     nb = covers.miyaoka_max_nodes(args.k2, args.c2)
     outputs = {"max_nodes": nb.max_nodes, "assumptions": list(nb.assumptions)}
     steps = [
@@ -312,10 +343,13 @@ def _cmd_bound_miyaoka(args: argparse.Namespace) -> Handler:
             {"k2": args.k2, "c2": args.c2, "max_nodes": nb.max_nodes},
         )
     ]
-    return {"k2": args.k2, "c2": args.c2}, outputs, steps, "ok"
+    return outputs, steps, "ok"
 
 
-def _cmd_bound_min_m(args: argparse.Namespace) -> Handler:
+@_command("bound min-m",
+          "minimum number of curves in the support at rank r",
+          _arg("--r", type=int, required=True))
+def _bound_min_m(args: argparse.Namespace) -> Result:
     value = covers.min_m_for_r(args.r)
     steps = [
         Step(
@@ -324,10 +358,13 @@ def _cmd_bound_min_m(args: argparse.Namespace) -> Handler:
             {"r": args.r, "min_m": value},
         )
     ]
-    return {"r": args.r}, {"min_m": value}, steps, "ok"
+    return {"min_m": value}, steps, "ok"
 
 
-def _cmd_classify_involution(args: argparse.Namespace) -> Handler:
+@_command("classify involution",
+          "case table for an involution with p_g = 0 and K^2 = 8 or 9",
+          _arg("--k2", type=int, choices=(8, 9), required=True))
+def _classify_involution(args: argparse.Namespace) -> Result:
     cases = classify_involution(args.k2)
     steps = [s for case in cases for s in case.derivation]
     status = (
@@ -335,11 +372,14 @@ def _cmd_classify_involution(args: argparse.Namespace) -> Handler:
         if all(c.label == "contradiction" for c in cases)
         else "ok"
     )
-    outputs = {"cases": [_case_dict(c) for c in cases]}
-    return {"k2": args.k2}, outputs, steps, status
+    return {"cases": [asdict(c) for c in cases]}, steps, status
 
 
-def _cmd_classify_fibers(args: argparse.Namespace) -> Handler:
+@_command("classify fibers",
+          "fiber multisets absorbing nodal curves in an Euler budget",
+          _arg("--euler", type=int, required=True),
+          _arg("--nodes", type=int, required=True))
+def _classify_fibers(args: argparse.Namespace) -> Result:
     multisets = fiber_budget(args.euler, args.nodes)
     steps = [
         Step(
@@ -355,35 +395,30 @@ def _cmd_classify_fibers(args: argparse.Namespace) -> Handler:
         "count": len(multisets),
         "multisets": [[f.kind for f in ms] for ms in multisets],
     }
-    return {"euler": args.euler, "nodes": args.nodes}, outputs, steps, "ok"
+    return outputs, steps, "ok"
 
 
-def _cmd_classify_kr_pairs(args: argparse.Namespace) -> Handler:
-    pairs = sorted(feasible_kr_pairs())
+@_command("classify kr-pairs",
+          "feasible (k, r, m) triples for k = rho - 2 nodal curves")
+def _classify_kr_pairs(args: argparse.Namespace) -> Result:
+    pairs = [list(p) for p in sorted(feasible_kr_pairs())]
     steps = [
         Step(
             "exhaustive enumeration of all-weight-4 codes of length "
             "k = rho - 2 for 5 <= rho <= 10 under the isotropic rank "
             "bound and m < 8",
             "code enumeration",
-            {"pairs": [list(p) for p in pairs]},
+            {"pairs": pairs},
         )
     ]
-    outputs = {"pairs": [list(p) for p in pairs]}
-    return {}, outputs, steps, "ok"
+    return {"pairs": pairs}, steps, "ok"
 
 
-def _cmd_classify_thm_mt(args: argparse.Namespace) -> Handler:
+@_command("classify thm-mt",
+          "feasibility of k = rho - 1 nodal curves on a rational surface",
+          _arg("--rho", type=int, required=True))
+def _classify_thm_mt(args: argparse.Namespace) -> Result:
     row = saturated_node_sweep(args.rho)
-    outputs = {
-        "rho": row.rho,
-        "k": row.k,
-        "K2_Y": row.K2_Y,
-        "r_min": row.r_min,
-        "survives": row.survives,
-        "attained_r": list(row.attained_r),
-        "tag": row.tag,
-    }
     steps = [
         Step(
             f"k = rho - 1 = {row.k} disjoint nodal curves on a rational "
@@ -393,22 +428,18 @@ def _cmd_classify_thm_mt(args: argparse.Namespace) -> Handler:
              "attained_r": list(row.attained_r)},
         )
     ]
-    status = "ok" if row.survives else "contradiction"
-    return {"rho": args.rho}, outputs, steps, status
+    return asdict(row), steps, "ok" if row.survives else "contradiction"
 
 
-def _cmd_classify_small_rho(args: argparse.Namespace) -> Handler:
-    cases = small_rho_cases(args.rho)
-    outputs = {
-        "cases": [
-            {"rho": c.rho, "k": c.k, "description": c.description}
-            for c in cases
-        ]
-    }
-    return {"rho": args.rho}, outputs, [], "ok"
+@_command("classify small-rho",
+          "surfaces with k = rho - 2 nodal curves for rho <= 4",
+          _arg("--rho", type=int, required=True))
+def _classify_small_rho(args: argparse.Namespace) -> Result:
+    return {"cases": [asdict(c) for c in small_rho_cases(args.rho)]}, [], "ok"
 
 
-def _cmd_solve_md(args: argparse.Namespace) -> Handler:
+@_command("solve md", "positive solutions of d m = m + 2 d")
+def _solve_md(args: argparse.Namespace) -> Result:
     sols = solve_md()
     steps = [
         Step(
@@ -418,12 +449,7 @@ def _cmd_solve_md(args: argparse.Namespace) -> Handler:
             {"solutions": [[s.m, s.d] for s in sols]},
         )
     ]
-    outputs = {
-        "solutions": [
-            {"m": s.m, "d": s.d, "genus": s.genus} for s in sols
-        ]
-    }
-    return {}, outputs, steps, "ok"
+    return {"solutions": [asdict(s) for s in sols]}, steps, "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -442,97 +468,16 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="nodalcodes", parents=[common])
     top = parser.add_subparsers(dest="group")
-
-    def leaf(sub, name: str, handler, command: str, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    groups: Dict[str, argparse._SubParsersAction] = {}
+    for command, (handler, help, arguments) in _COMMANDS.items():
+        group, name = command.split()
+        if group not in groups:
+            groups[group] = top.add_parser(
+                group, parents=[common]).add_subparsers()
+        p = groups[group].add_parser(name, parents=[common], help=help)
         p.set_defaults(handler=handler, command=command)
-        return p
-
-    code = top.add_parser("code", parents=[common]).add_subparsers()
-    p = leaf(code, "analyze", _cmd_code_analyze, "code analyze",
-             help="weights, evenness, reduction and recognition of a code")
-    p.add_argument("file")
-    p = leaf(code, "de", _cmd_code_de, "code de",
-             help="the doubled even-weight code on 2n coordinates")
-    p.add_argument("n", type=int)
-    p = leaf(code, "equiv", _cmd_code_equiv, "code equiv",
-             help="decide coordinate-permutation equivalence")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = leaf(code, "enumerate", _cmd_code_enumerate, "code enumerate",
-             help="all codes with the given weight constraint, one per "
-                  "permutation class")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--weights", choices=("4", "div4"), required=True)
-    p.add_argument("--dim-min", type=int, required=True)
-    p.add_argument("--dim-max", type=int, required=True)
-    p.add_argument("--cache", default=None,
-                   help="directory for the JSONL result cache")
-    p = leaf(code, "recognize-de", _cmd_code_recognize_de,
-             "code recognize-de",
-             help="is the reduced code a doubled even-weight code?")
-    p.add_argument("file")
-
-    lattice = top.add_parser("lattice", parents=[common]).add_subparsers()
-    p = leaf(lattice, "build", _cmd_lattice_build, "lattice build",
-             help="Construction-A lattice of a code")
-    p.add_argument("code_file")
-    p.add_argument("--scaling", choices=lattices.SCALINGS,
-                   required=True)
-    p.add_argument("--out", default=None,
-                   help="also write the lattice JSON to this file")
-    p = leaf(lattice, "identify", _cmd_lattice_identify, "lattice identify",
-             help="root system type and discriminant")
-    p.add_argument("file")
-
-    cover = top.add_parser("cover", parents=[common]).add_subparsers()
-    p = leaf(cover, "invariants", _cmd_cover_invariants, "cover invariants",
-             help="invariants of the 2^r-cover branched on m nodal curves")
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--c2", type=int, default=None)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kodaira", choices=covers.KODAIRA, default="unknown")
-
-    bound = top.add_parser("bound", parents=[common]).add_subparsers()
-    p = leaf(bound, "isotropic", _cmd_bound_isotropic, "bound isotropic",
-             help="minimum code rank for k nodal curves at Picard rank rho")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--rho", type=int, required=True)
-    p = leaf(bound, "miyaoka", _cmd_bound_miyaoka, "bound miyaoka",
-             help="maximum node count from the orbifold BMY inequality")
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    p = leaf(bound, "min-m", _cmd_bound_min_m, "bound min-m",
-             help="minimum number of curves in the support at rank r")
-    p.add_argument("--r", type=int, required=True)
-
-    cl = top.add_parser("classify", parents=[common]).add_subparsers()
-    p = leaf(cl, "involution", _cmd_classify_involution,
-             "classify involution",
-             help="case table for an involution with p_g = 0 and K^2 = 8 "
-                  "or 9")
-    p.add_argument("--k2", type=int, choices=(8, 9), required=True)
-    p = leaf(cl, "fibers", _cmd_classify_fibers, "classify fibers",
-             help="fiber multisets absorbing nodal curves in an Euler "
-                  "budget")
-    p.add_argument("--euler", type=int, required=True)
-    p.add_argument("--nodes", type=int, required=True)
-    leaf(cl, "kr-pairs", _cmd_classify_kr_pairs, "classify kr-pairs",
-         help="feasible (k, r, m) triples for k = rho - 2 nodal curves")
-    p = leaf(cl, "thm-mt", _cmd_classify_thm_mt, "classify thm-mt",
-             help="feasibility of k = rho - 1 nodal curves on a rational "
-                  "surface")
-    p.add_argument("--rho", type=int, required=True)
-    p = leaf(cl, "small-rho", _cmd_classify_small_rho, "classify small-rho",
-             help="surfaces with k = rho - 2 nodal curves for rho <= 4")
-    p.add_argument("--rho", type=int, required=True)
-
-    solve = top.add_parser("solve", parents=[common]).add_subparsers()
-    leaf(solve, "md", _cmd_solve_md, "solve md",
-         help="positive solutions of d m = m + 2 d")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -542,11 +487,7 @@ def _build_parser() -> _Parser:
 
 
 def _emit(report: Dict[str, object], pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(report, indent=2, sort_keys=False)
-    else:
-        text = json.dumps(report, sort_keys=False)
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(json.dumps(report, indent=2 if pretty else None) + "\n")
 
 
 def _error_report(command: str, inputs: Dict[str, object],
@@ -564,32 +505,27 @@ def _error_report(command: str, inputs: Dict[str, object],
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute one subcommand, print one JSON report."""
     args_list = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(args_list)
+        args = _build_parser().parse_args(args_list)
     except _UsageError as exc:
         _emit(_error_report(" ".join(args_list[:2]), {}, str(exc)),
               pretty=False)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if not hasattr(args, "handler"):
-        _emit(
-            _error_report(
-                " ".join(args_list[:2]), {},
-                "missing subcommand (see --help)",
-            ),
-            pretty=getattr(args, "pretty", False),
-        )
-        return 1
     pretty = getattr(args, "pretty", False)
+    if not hasattr(args, "handler"):
+        _emit(_error_report(" ".join(args_list[:2]), {},
+                            "missing subcommand (see --help)"), pretty)
+        return 1
+    # the parsed arguments, minus the fields that only dispatch
+    inputs = {
+        name: value for name, value in vars(args).items()
+        if name not in ("handler", "command", "pretty", "group")
+    }
     try:
-        inputs, outputs, steps, status = args.handler(args)
+        outputs, steps, status = args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        inputs = {
-            name: value for name, value in vars(args).items()
-            if name not in ("handler", "command", "pretty", "group")
-        }
         _emit(_error_report(args.command, inputs, str(exc)), pretty)
         return 1
     report = {
