@@ -15,7 +15,8 @@ Each subcommand is declared once, by the `_command` decorator on its
 handler: its name, its help text and its argparse arguments.
 `_build_parser` builds every group and leaf parser from that table.  A
 report's inputs are the parsed arguments, minus the dispatch fields, for
-ok and error reports alike.
+ok and error reports alike; when parsing fails (a bad value, an unknown
+group, a missing leaf) they are {"argv": [...]}.
 
 `code enumerate` optionally persists its results as a JSONL cache: a stamp
 line (package version, algorithm id, code count), then one JSON object per
@@ -505,18 +506,19 @@ def _error_report(command: str, inputs: Dict[str, object],
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute one subcommand, print one JSON report."""
     args_list = list(sys.argv[1:] if argv is None else argv)
+    # a usage error has no parsed arguments: its inputs are the raw argv
+    unparsed = (" ".join(args_list[:2]), {"argv": args_list})
     try:
         args = _build_parser().parse_args(args_list)
     except _UsageError as exc:
-        _emit(_error_report(" ".join(args_list[:2]), {}, str(exc)),
-              pretty=False)
+        _emit(_error_report(*unparsed, str(exc)), pretty=False)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     pretty = getattr(args, "pretty", False)
     if not hasattr(args, "handler"):
-        _emit(_error_report(" ".join(args_list[:2]), {},
-                            "missing subcommand (see --help)"), pretty)
+        _emit(_error_report(*unparsed, "missing subcommand (see --help)"),
+              pretty)
         return 1
     # the parsed arguments, minus the fields that only dispatch
     inputs = {

@@ -377,3 +377,19 @@ def test_code_file_round_trip_through_cli(capsys, tmp_path):
     rc, rep = invoke(capsys, "code", "analyze", path)
     assert rc == 0
     assert rep["outputs"]["generators"] == ["1111"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "enumerate", "--length", "x", "--weights", "4",
+     "--dim-min", "1", "--dim-max", "3"],
+    ["frobnicate"],
+    ["code"],
+])
+def test_usage_error_report_keeps_argv(capsys, argv):
+    rc = run(argv)
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["status"] == "error"
+    assert rep["inputs"] == {"argv": argv}
