@@ -215,7 +215,21 @@ class NodeBound:
 
 def miyaoka_max_nodes(K2: int, c2: int) -> NodeBound:
     """Miyaoka bound: a minimal surface of non-negative Kodaira dimension
-    with the given Chern numbers carries at most 2(3 c2 - K2)/9 nodes."""
+    with the given Chern numbers carries at most 2(3 c2 - K2)/9 nodes.
+
+    Such a surface has K2 >= 0, K2 + c2 = 12 chi (Noether) and K2 <= 3 c2
+    (Bogomolov-Miyaoka-Yau); Chern numbers breaking any of these raise
+    ValueError.
+    """
+    if K2 < 0:
+        raise ValueError(f"K2 must be non-negative on a minimal surface of "
+                         f"non-negative Kodaira dimension: {K2}")
+    if (K2 + c2) % 12:
+        raise ValueError(f"K2 + c2 = {K2 + c2} is not divisible by 12 "
+                         f"(Noether's formula)")
+    if K2 > 3 * c2:
+        raise ValueError(f"K2 = {K2} exceeds 3 c2 = {3 * c2} "
+                         f"(Bogomolov-Miyaoka-Yau)")
     bound = (2 * (3 * c2 - K2)) // 9
     return NodeBound(
         max_nodes=bound,

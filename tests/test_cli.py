@@ -243,6 +243,15 @@ def test_bounds(capsys):
     assert (rc, rep["outputs"]["min_m"]) == (0, 8)
 
 
+def test_miyaoka_impossible_chern_numbers_is_error(capsys):
+    rc, rep = invoke(capsys, "bound", "miyaoka", "--k2", "0", "--c2", "-5")
+    assert rc == 1
+    assert rep["status"] == "error"
+    assert rep["outputs"] == {}
+    assert rep["inputs"] == {"k2": 0, "c2": -5}
+    assert "12" in rep["error"]
+
+
 def test_classify_involution_9_contradiction(capsys):
     rc, rep = invoke(capsys, "classify", "involution", "--k2", "9")
     assert rc == 2

@@ -150,6 +150,18 @@ def test_miyaoka_bound_values():
     assert miyaoka_max_nodes(0, 12).assumptions
 
 
+@pytest.mark.parametrize("k2, c2", [
+    (-1, 13),  # K^2 < 0
+    (0, -5),   # K^2 + c2 = -5, not a multiple of 12
+    (1, 10),   # K^2 + c2 = 11
+    (10, 2),   # K^2 = 10 > 3 c2 = 6 although K^2 + c2 = 12
+    (13, -1),  # K^2 > 3 c2 with c2 < 0
+])
+def test_miyaoka_rejects_impossible_chern_numbers(k2, c2):
+    with pytest.raises(ValueError):
+        miyaoka_max_nodes(k2, c2)
+
+
 def test_picard_after_contraction():
     assert picard_after_contraction(10, 8) == 2
     assert picard_after_contraction(5, 0) == 5
