@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import (
     Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
 )
@@ -187,12 +188,49 @@ def contains(code: BinaryCode, word: int) -> bool:
 
 
 def weight_enumerator(code: BinaryCode) -> Dict[int, int]:
-    """Map weight -> number of codewords of that weight."""
-    counts: Dict[int, int] = {}
+    """Map weight -> number of codewords of that weight.
+
+    Above dimension 16 the 2^dim words are not listed: the counts come from
+    the dual code, at most 2^15 words at length <= 32, by the MacWilliams
+    identity A_i = 2^(dim - n) sum_j B_j K_i(j), where B is the dual's
+    weight distribution and K_i(j) = sum_s (-1)^s C(j, s) C(n - j, i - s)
+    the Krawtchouk polynomial, all in exact integers.
+    """
+    if code.dim > 16:
+        n = code.length
+        dual = weight_enumerator(_dual(code))
+        counts = {}
+        for i in range(n + 1):
+            total = sum(
+                b * sum((-1) ** s * comb(j, s) * comb(n - j, i - s)
+                        for s in range(min(i, j) + 1))
+                for j, b in dual.items()
+            )
+            if total:
+                counts[i] = total >> (n - code.dim)
+        return counts
+    counts = {}
     for w in codewords(code):
         h = w.bit_count()
         counts[h] = counts.get(h, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def _dual(code: BinaryCode) -> BinaryCode:
+    """The dual code, read off the RREF: for each non-pivot coordinate c,
+    e_c plus the pivots of the rows that have c set."""
+    pivots = 0
+    for g in code.generators:
+        pivots |= g & -g
+    rows = []
+    for c in range(code.length):
+        if not (pivots >> c) & 1:
+            h = 1 << c
+            for g in code.generators:
+                if (g >> c) & 1:
+                    h |= g & -g
+            rows.append(h)
+    return BinaryCode(code.length, _rref(rows))
 
 
 def is_even(code: BinaryCode) -> bool:

@@ -4,6 +4,7 @@ import signal
 import time
 from contextlib import contextmanager
 from itertools import combinations, permutations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -524,6 +525,48 @@ def test_enumerate_length_13_within_budget(monkeypatch):
         classes = enumerate_codes(13, "div4", 1, 13)
     assert len(classes) == 28
     assert max(c.dim for c in classes) == 5
+
+
+def gray_weights(code):
+    # direct enumeration: walk all 2^dim codewords in Gray-code order
+    counts = {0: 1}
+    w = 0
+    for i in range(1, 1 << code.dim):
+        w ^= code.generators[(i & -i).bit_length() - 1]
+        counts[w.bit_count()] = counts.get(w.bit_count(), 0) + 1
+    return dict(sorted(counts.items()))
+
+
+# above dimension 16 the weights come from the dual by MacWilliams; listing
+# the 2^32 words of a full-rank length-32 code did not finish in 20 s
+
+
+@pytest.mark.parametrize("n", [17, 24, 32])
+def test_weight_enumerator_of_the_whole_space(n):
+    with within(2.0):
+        we = weight_enumerator(make_code([1 << i for i in range(n)], n))
+    assert we == {i: comb(n, i) for i in range(n + 1)}
+
+
+@pytest.mark.parametrize("n", [18, 25, 32])
+def test_weight_enumerator_of_the_even_weight_code(n):
+    with within(2.0):
+        we = weight_enumerator(
+            make_code([1 | 1 << i for i in range(1, n)], n))
+    assert we == {i: comb(n, i) for i in range(0, n + 1, 2)}
+
+
+@pytest.mark.parametrize("dim", [17, 18, 19, 20])
+def test_weight_enumerator_matches_direct_enumeration(dim):
+    rng = random.Random(dim)
+    length = rng.randrange(dim + 1, 33)
+    code = zero_code(length)
+    while code.dim < dim:
+        code = make_code(code.generators + (rng.getrandbits(length),),
+                         length)
+    with within(2.0):
+        we = weight_enumerator(code)
+    assert we == gray_weights(code)
 
 
 def test_enumerate_rejects_bad_arguments():
