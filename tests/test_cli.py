@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalcodes import __version__, gf2
 from nodalcodes.cli import run
@@ -402,3 +408,95 @@ def test_usage_error_report_keeps_argv(capsys, argv):
     rep = json.loads(out)
     assert rep["status"] == "error"
     assert rep["inputs"] == {"argv": argv}
+
+
+# --- the one-report contract under arbitrary files ---------------------------
+
+
+def _small_header(text):
+    # keep parseable headers at length <= 16 so no search runs long
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    try:
+        return not lines or int(lines[0][0]) <= 16
+    except ValueError:
+        return True
+
+
+@st.composite
+def code_texts(draw):
+    # a header and rows that mostly form a code, sometimes with a bad row
+    # or a wrong count.  At most 4 rows: the canonical search behind code
+    # equiv takes seconds on random [12..16, 5..6] codes
+    n = draw(st.integers(-1, 16))
+    row = st.text("01", min_size=max(n, 0), max_size=max(n, 0))
+    rows = draw(st.lists(row, max_size=4))
+    d = len(rows)
+    if draw(st.booleans()):
+        rows.append(draw(st.text("01x ", max_size=17)))
+        d = draw(st.sampled_from([d, d + 1, -1]))
+    return f"{n} {d}\n" + "\n".join(rows)
+
+
+CODE_TEXT = (st.text(max_size=60) | code_texts()).filter(_small_header)
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def lattice_texts(draw):
+    # a symmetric integer matrix, not always positive definite, sometimes
+    # with one field replaced by arbitrary JSON
+    n = draw(st.integers(1, 6))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = draw(
+                st.integers(1, 8) if i == j else st.integers(-4, 4))
+    payload = {"rank": n, "doubled_gram": gram,
+               "scaling": draw(st.sampled_from(["unscaled", "half"]))}
+    if draw(st.booleans()):
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(JSON_VALUE)
+    return json.dumps(payload)
+
+
+LATTICE_JSON = st.text(max_size=40) | JSON_VALUE.map(json.dumps) \
+    | lattice_texts()
+
+
+def one_report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run(argv)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, out.getvalue()
+    rep = json.loads(lines[0])
+    assert rc == {"ok": 0, "error": 1}[rep["status"]], (rc, rep)
+    return rep
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=CODE_TEXT, b=CODE_TEXT)
+def test_code_files_give_one_report(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        pa, pb = Path(tmp, "a.code"), Path(tmp, "b.code")
+        pa.write_text(a)
+        pb.write_text(b)
+        for argv in (["code", "analyze", str(pa)],
+                     ["code", "recognize-de", str(pa)],
+                     ["code", "equiv", str(pa), str(pb)],
+                     ["lattice", "build", str(pa), "--scaling", "half"]):
+            one_report(argv)
+
+
+@settings(deadline=None, max_examples=60)
+@given(text=LATTICE_JSON)
+def test_lattice_files_give_one_report(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "x.lattice")
+        path.write_text(text)
+        one_report(["lattice", "identify", str(path)])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from nodalcodes.cli import run
+from nodalcodes.cli import _COMMANDS, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 
@@ -28,7 +28,8 @@ FILES = {
 ENUMERATE_7 = ["code", "enumerate", "--length", "7", "--weights", "4",
                "--dim-min", "1", "--dim-max", "7"]
 
-# demos/05_cli_tour.sh, then the README's command list, then errors
+# demos/05_cli_tour.sh, then the README's command list with an ok case for
+# each command that can derive a contradiction, then errors
 CASES = {
     "tour-code-de": [["code", "de", "3", "--pretty"]],
     "tour-code-analyze": [["code", "analyze", "de3.code", "--pretty"]],
@@ -58,10 +59,12 @@ CASES = {
     "bound-miyaoka": [["bound", "miyaoka", "--k2", "0", "--c2", "12"]],
     "bound-min-m": [["bound", "min-m", "--r", "4"]],
     "classify-involution": [["classify", "involution", "--k2", "9"]],
+    "classify-involution-8": [["classify", "involution", "--k2", "8"]],
     "classify-fibers": [["classify", "fibers", "--euler", "12", "--nodes",
                          "8"]],
     "classify-kr-pairs": [["classify", "kr-pairs"]],
     "classify-thm-mt": [["classify", "thm-mt", "--rho", "9"]],
+    "classify-thm-mt-8": [["classify", "thm-mt", "--rho", "8"]],
     "classify-small-rho": [["classify", "small-rho", "--rho", "3"]],
     "solve-md": [["solve", "md"]],
     "pretty-first": [["--pretty", "solve", "md"]],
@@ -100,6 +103,16 @@ def test_report_matches_golden(case, tmp_path, monkeypatch):
 
 def test_every_golden_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+def test_goldens_cover_every_command():
+    # a new subcommand cannot land without a pinned ok report
+    pinned = {
+        json.loads(r["stdout"])["command"]
+        for p in GOLDEN.glob("*.json") for r in json.loads(p.read_text())
+        if json.loads(r["stdout"])["status"] == "ok"
+    }
+    assert pinned == set(_COMMANDS)
 
 
 if __name__ == "__main__":
