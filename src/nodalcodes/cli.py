@@ -470,12 +470,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="nodalcodes", parents=[common])
     top = parser.add_subparsers(dest="group")
     groups: Dict[str, argparse._SubParsersAction] = {}
-    for command, (handler, help, arguments) in _COMMANDS.items():
+    for command, (handler, text, arguments) in _COMMANDS.items():
         group, name = command.split()
         if group not in groups:
             groups[group] = top.add_parser(
                 group, parents=[common]).add_subparsers()
-        p = groups[group].add_parser(name, parents=[common], help=help)
+        p = groups[group].add_parser(name, parents=[common], help=text)
         p.set_defaults(handler=handler, command=command)
         for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
