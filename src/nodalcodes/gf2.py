@@ -196,10 +196,10 @@ def weight_enumerator(code: BinaryCode) -> Dict[int, int]:
     weight distribution and K_i(j) = sum_s (-1)^s C(j, s) C(n - j, i - s)
     the Krawtchouk polynomial, all in exact integers.
     """
+    counts: Dict[int, int] = {}
     if code.dim > 16:
         n = code.length
         dual = weight_enumerator(_dual(code))
-        counts = {}
         for i in range(n + 1):
             total = sum(
                 b * sum((-1) ** s * comb(j, s) * comb(n - j, i - s)
@@ -209,7 +209,6 @@ def weight_enumerator(code: BinaryCode) -> Dict[int, int]:
             if total:
                 counts[i] = total >> (n - code.dim)
         return counts
-    counts = {}
     for w in codewords(code):
         h = w.bit_count()
         counts[h] = counts.get(h, 0) + 1
