@@ -118,7 +118,7 @@ def _cache_lines(codes: Sequence[gf2.BinaryCode]) -> List[str]:
 
 
 # names the enumeration and canonical-form definitions a cache file holds
-_CACHE_ALGORITHM = "enumerate_codes/aut-orbits/column-major-canonical"
+_CACHE_ALGORITHM = "enumerate_codes/aut-orbits/profile-refined-canonical"
 
 
 def _cache_stamp(count: int) -> str:

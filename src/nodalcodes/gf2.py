@@ -288,22 +288,34 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # ---------------------------------------------------------------------------
 # Canonical form under coordinate permutation.
 #
-# The canonical representative of the permutation orbit of a code is the one
-# whose RREF generator matrix is lexicographically smallest when read column
-# by column (within a column, row 0 is the most significant bit).  Reading
-# column-major lets the search build the matrix one column at a time: after
-# choosing a prefix of columns, the rows created so far are exactly the RREF
-# rows of the code projected onto that prefix, so candidate columns can be
-# compared and pruned before the permutation is complete.
+# Each coordinate has a *profile*: the number of words of each weight whose
+# support contains it, counted in the code or in its dual, whichever has the
+# smaller dimension (the code when 2 dim <= length).  The canonical
+# representative of the permutation orbit of a code is, among the
+# permutations that put the coordinates in nondecreasing profile order, the
+# one whose RREF generator matrix is lexicographically smallest when read
+# column by column (within a column, row 0 is the most significant bit).  A
+# permutation carries the profiles of C onto those of its image, so it maps
+# the allowed orderings of C onto those of the image, and the definition is
+# a canonical form.  Refining by the profile (Leon, IEEE Trans. IT 28, 1982;
+# McKay and Piperno, "Practical graph isomorphism, II", 2014) lets depth d
+# branch only over the coordinates whose profile is the d-th smallest, which
+# keeps codes with small automorphism groups cheap.
+#
+# Reading column-major lets the search build the matrix one column at a time:
+# after choosing a prefix of columns, the rows created so far are exactly the
+# RREF rows of the code projected onto that prefix, so candidate columns can
+# be compared and pruned before the permutation is complete.
 #
 # Codes with large automorphism groups stay cheap because the search prunes
 # with the automorphisms it finds (McKay, "Practical graph isomorphism", 1981;
-# Leon, IEEE Trans. IT 28, 1982).  A leaf that reproduces the best matrix found
-# so far yields one: its column order sent onto the best leaf's.  At every
-# node, a candidate column is skipped when it lies in the orbit of an already
-# explored sibling under the automorphisms found so far that fix the node's
-# prefix pointwise; the subtrees of orbit-mates are images of each other, so
-# they reach the same matrices.
+# Leon 1982).  A leaf that reproduces the best matrix found so far yields one:
+# its column order sent onto the best leaf's.  At every node, a candidate
+# column is skipped when it lies in the orbit of an already explored sibling
+# under the automorphisms found so far that fix the node's prefix pointwise;
+# the subtrees of orbit-mates are images of each other, so they reach the
+# same matrices.  Automorphisms preserve profiles, so every one of them maps
+# an allowed ordering onto an allowed ordering.
 # ---------------------------------------------------------------------------
 
 
@@ -311,6 +323,9 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
     """Canonical representative of the permutation orbit, with a witness.
 
+    ``canon`` has the lexicographically smallest column-major RREF matrix
+    among the images of ``code`` whose coordinates are in nondecreasing
+    profile order (see the comment above).
     Returns ``(canon, images)`` where ``permute(code, images) == canon``.
     The witness is the first permutation the search finds that realises the
     canonical matrix.  The search depends only on the RREF generator matrix,
@@ -340,6 +355,12 @@ def _canonical_search(
     # fingerprints mean the columns agree on every codeword, so at any search
     # node only the smallest unused column of each class need be tried.
     fp = [tuple((g >> c) & 1 for g in gens) for c in range(k)]
+    # depth d may take only a column whose profile is the d-th smallest
+    profile = _profiles(code)
+    cells: Dict[Tuple[int, ...], int] = {}
+    for c, p in enumerate(profile):
+        cells[p] = cells.get(p, 0) | (1 << c)
+    allowed = [cells[p] for p in sorted(profile)]
 
     best_cols: Optional[List[int]] = None
     best_chosen: Optional[List[int]] = None
@@ -372,8 +393,9 @@ def _canonical_search(
             return
 
         seen: Dict[Tuple[int, ...], int] = {}
+        free = allowed[depth] & ~used
         for c in range(k):
-            if not (used >> c) & 1 and fp[c] not in seen:
+            if (free >> c) & 1 and fp[c] not in seen:
                 seen[fp[c]] = c
         cands = []
         for c in seen.values():
@@ -448,6 +470,41 @@ def _canonical_search(
     for pos, c in enumerate(best_chosen):
         images[c] = pos
     return BinaryCode(k, tuple(canon_gens)), tuple(images), auts
+
+
+def _profiles(code: BinaryCode) -> List[Tuple[int, ...]]:
+    """Each coordinate's profile: entry h counts the words of weight h whose
+    support contains it, read from the smaller of the code and its dual
+    (at most 2^16 words at length <= 32).
+
+    The words are counted a bit plane at a time: column c is held as one
+    int whose bit i says whether word i of ``codewords`` contains c, and
+    adding the columns gives the binary digits of every word's weight.
+    """
+    k = code.length
+    small = code if 2 * code.dim <= k else _dual(code)
+    cols, n = [0] * k, 1
+    for g in small.generators:
+        # words n..2n-1 are words 0..n-1 plus g
+        flip = (1 << n) - 1
+        cols = [x | ((x ^ flip if (g >> c) & 1 else x) << n)
+                for c, x in enumerate(cols)]
+        n *= 2
+    digits: List[int] = []
+    for x in cols:
+        for i, d in enumerate(digits):
+            digits[i], x = d ^ x, d & x
+        if x:
+            digits.append(x)
+    counts = [[0] * (k + 1) for _ in range(k)]
+    for h in range(1, min(k, (1 << len(digits)) - 1) + 1):
+        weight_h = (1 << n) - 1
+        for i, d in enumerate(digits):
+            weight_h &= d if (h >> i) & 1 else ~d
+        if weight_h:
+            for c in range(k):
+                counts[c][h] = (cols[c] & weight_h).bit_count()
+    return [tuple(p) for p in counts]
 
 
 def _orbits(n: int, maps: Iterable[Sequence[int]]) -> List[int]:

@@ -108,7 +108,7 @@ def test_enumerate_cache_is_deterministic(capsys, tmp_path):
     assert rep["outputs"]["codes"] == rep2["outputs"]["codes"]
     stamp, *lines = first.decode().splitlines()
     assert json.loads(stamp) == {
-        "algorithm": "enumerate_codes/aut-orbits/column-major-canonical",
+        "algorithm": "enumerate_codes/aut-orbits/profile-refined-canonical",
         "count": rep["outputs"]["count"],
         "nodalcodes": __version__,
     }

@@ -214,18 +214,52 @@ def column_major_key(code):
     )
 
 
+def brute_profiles(code):
+    # independent path: the words of the code and of its dual found by
+    # testing every vector of the ambient space, then counted coordinate by
+    # coordinate in whichever has the smaller dimension
+    k = code.length
+    if 2 * code.dim <= k:
+        words = [v for v in range(1 << k) if contains(code, v)]
+    else:
+        words = [v for v in range(1 << k)
+                 if all(bin(v & g).count("1") % 2 == 0
+                        for g in code.generators)]
+    return [
+        tuple(sum(1 for w in words
+                  if (w >> c) & 1 and bin(w).count("1") == h)
+              for h in range(k + 1))
+        for c in range(k)
+    ]
+
+
+def test_profiles_match_bruteforce():
+    rng = random.Random(1982)
+    for _ in range(60):
+        k = rng.randrange(1, 12)
+        rows = [rng.randrange(1, 1 << k) for _ in range(rng.randrange(0, k))]
+        code = make_code(rows, k)
+        assert gf2._profiles(code) == brute_profiles(code), code
+
+
 def test_canonical_form_matches_bruteforce_minimum():
-    # oracle: the smallest column-major RREF matrix over all k! permutations
+    # oracle: the smallest column-major RREF matrix over the k! permutations
+    # that put the coordinates in nondecreasing profile order
     rng = random.Random(2024)
     for _ in range(40):
         k = rng.randrange(2, 8)
         rows = [rng.randrange(1, 1 << k) for _ in range(rng.randrange(1, k))]
         code = make_code(rows, k)
-        best = min(
-            column_major_key(permute(code, p)) for p in permutations(range(k))
-        )
+        profile = brute_profiles(code)
+        keys = []
+        for p in permutations(range(k)):
+            placed = [None] * k
+            for c in range(k):
+                placed[p[c]] = profile[c]
+            if placed == sorted(placed):
+                keys.append(column_major_key(permute(code, p)))
         canon, images = canonical_form(code)
-        assert column_major_key(canon) == best, code
+        assert column_major_key(canon) == min(keys), code
         assert permute(code, images) == canon
 
 
@@ -270,6 +304,35 @@ def test_canonical_form_high_symmetry_within_budget(name):
         assert permute(c, witness) == canon
         forms.append(canon)
     assert forms[0] == forms[1]
+
+
+def random_code(rng, n, k):
+    while True:
+        code = make_code([rng.getrandbits(n) for _ in range(k)], n)
+        if code.dim == k:
+            return code
+
+
+LOW_SYMMETRY = [(12, 6), (13, 6), (14, 6), (16, 5), (16, 6), (16, 8),
+                (12, 8), (13, 8), (14, 9), (16, 11), (16, 12)]
+
+
+@pytest.mark.parametrize("n,k", LOW_SYMMETRY)
+def test_canonical_form_low_symmetry_within_budget(n, k):
+    # random codes have small automorphism groups, so pruning by them does
+    # little; without refinement by profiles some of these took over 8 s
+    rng = random.Random(n * 100 + k)
+    for _ in range(2):
+        code = random_code(rng, n, k)
+        images = list(range(n))
+        rng.shuffle(images)
+        forms = []
+        for c in (code, permute(code, images)):
+            with within(0.5):  # uncached, so the search is timed
+                canon, witness = canonical_form.__wrapped__(c)
+            assert permute(c, witness) == canon
+            forms.append(canon)
+        assert forms[0] == forms[1], code
 
 
 def brute_automorphism_count(code):
@@ -483,10 +546,11 @@ def test_enumerate_doubly_even_self_orthogonal():
 
 
 def test_enumerate_matches_golden():
-    # generator matrices of every class for length <= 13, recorded from the
-    # search that canonicalized every child (length <= 12 also before the
-    # canonical search was pruned by automorphisms); the canonical matrix is
-    # part of the output, so it must never drift
+    # generator matrices of every class for length <= 13, recorded when the
+    # canonical form was refined by profiles; the list before it agreed
+    # class for class (equal counts per length, rule and dimension, each
+    # old representative carried onto one new one by a checked witness).
+    # The canonical matrix is part of the output, so it must never drift
     golden = json.loads(
         (Path(__file__).parent / "golden" / "enumerate_codes.json").read_text()
     )
