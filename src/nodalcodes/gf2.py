@@ -546,7 +546,7 @@ def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
 
     The returned tuple ``images`` satisfies ``permute(a, images) == b``.
     """
-    if a.length != b.length:
+    if a.length != b.length or a.dim != b.dim:
         return None
     ca, imgs_a = canonical_form(a)
     cb, imgs_b = canonical_form(b)

@@ -435,6 +435,16 @@ def test_not_equivalent_different_dims():
     assert equivalent(padded, simplex(3)) is None
 
 
+def test_different_dimensions_skip_the_search(monkeypatch):
+    def no_search(code):
+        raise AssertionError("canonical search run")
+
+    monkeypatch.setattr(gf2, "canonical_form", no_search)
+    other = random_code(random.Random(16), 16, 6)
+    assert equivalent(zero_code(16), other) is None
+    assert equivalent(other, de(8)) is None
+
+
 def test_essentially_isomorphic():
     padded = make_code(
         [word_to_string(g, 7) + "00" for g in simplex(3).generators], 9
