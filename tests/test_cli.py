@@ -423,11 +423,10 @@ def _small_header(text):
 @st.composite
 def code_texts(draw):
     # a header and rows that mostly form a code, sometimes with a bad row
-    # or a wrong count.  At most 4 rows: the canonical search behind code
-    # equiv takes seconds on random [12..16, 5..6] codes
+    # or a wrong count
     n = draw(st.integers(-1, 16))
     row = st.text("01", min_size=max(n, 0), max_size=max(n, 0))
-    rows = draw(st.lists(row, max_size=4))
+    rows = draw(st.lists(row, max_size=max(n, 0) + 1))
     d = len(rows)
     if draw(st.booleans()):
         rows.append(draw(st.text("01x ", max_size=17)))
