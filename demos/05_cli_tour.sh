@@ -1,8 +1,10 @@
 #!/bin/sh
 # A quick walk through the command-line interface.  Every invocation
 # prints a single JSON report; exit code 2 flags a successfully derived
-# impossibility, which is a result, not a failure.
-set -u
+# impossibility, which is a result, not a failure.  The tour stops at the
+# first command that fails, and exits nonzero unless the last command
+# derives its contradiction.
+set -eu
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
@@ -34,5 +36,10 @@ cat "$workdir/cache"/*.jsonl
 
 echo
 echo '# no involution exists on a K^2 = 9 surface with p_g = 0 (exit 2)'
-nodalcodes classify involution --k2 9 --pretty
-echo "exit code: $?"
+status=0
+nodalcodes classify involution --k2 9 --pretty || status=$?
+echo "exit code: $status"
+if [ "$status" -ne 2 ]; then
+    echo "expected exit code 2" >&2
+    exit 1
+fi
