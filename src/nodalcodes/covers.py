@@ -184,9 +184,13 @@ def double_cover_nodes(chi_cover: int, chi_quotient: int) -> int:
 def min_m_for_r(r: int) -> int:
     """Least number of branch curves admitting a rank-r cover code.
 
-    chi of the nodal cover of a chi = 1 surface is 2^r - m 2^(r-3) >= 1,
-    whence m >= 8 (2^r - 1) / 2^r; the bound is 7 at r = 3 and 8 from
-    r = 4 on.
+    Weight counting: each of the m coordinates a rank-r code covers lies in
+    2^(r-1) of its words, so the weights sum to m 2^(r-1), and each of the
+    2^r - 1 nonzero words has weight at least 4, whence
+    m >= 8 (2^r - 1) / 2^r.  The bound is 4, 6 and 7 at r = 1, 2, 3 and 8
+    from r = 4 on; it is attained only for r <= 4 (a code of dimension 5
+    with weights in 4Z needs length 12).  chi of the nodal cover of a
+    chi = 1 surface, 2^r - m 2^(r-3) >= 1, bounds m from above instead.
     """
     if r < 1:
         raise ValueError(f"r must be positive: {r}")

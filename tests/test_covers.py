@@ -10,6 +10,7 @@ from nodalcodes.covers import (
     miyaoka_max_nodes,
     picard_after_contraction,
 )
+from nodalcodes.gf2 import enumerate_codes
 
 
 def test_surface_invariants_noether_fill_in():
@@ -123,6 +124,19 @@ def test_min_m_for_r_values():
         assert min_m_for_r(r) == 8
     with pytest.raises(ValueError):
         min_m_for_r(0)
+
+
+def test_min_m_for_r_against_enumeration():
+    # oracle: the shortest "div4" code of each dimension, found by
+    # exhaustive enumeration; the counting bound is attained for r <= 4
+    for r in range(1, 5):
+        m = min_m_for_r(r)
+        assert enumerate_codes(m, "div4", r, r)
+        assert not enumerate_codes(m - 1, "div4", r, r)
+    # and only a bound from r = 5 on: no code of dimension 5 below length 12
+    for m in range(min_m_for_r(5), 12):
+        assert not enumerate_codes(m, "div4", 5, 5)
+    assert enumerate_codes(12, "div4", 5, 5)
 
 
 def test_isotropic_bound():
