@@ -584,6 +584,10 @@ def within(seconds):
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except TimeoutError as exc:
+        # raised afresh: the frame the alarm interrupted can carry no line
+        # number, and pytest cannot format such a traceback
+        raise TimeoutError(*exc.args) from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
