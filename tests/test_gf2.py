@@ -428,21 +428,18 @@ def test_equivalent_simple_swap():
     assert permute(a, images) == b
 
 
-def test_not_equivalent_different_dims():
-    padded = make_code(
-        [word_to_string(g, 6) + "0" for g in de(3).generators], 7
-    )
-    assert equivalent(padded, simplex(3)) is None
-
-
-def test_different_dimensions_skip_the_search(monkeypatch):
+def test_not_equivalent_different_dims(monkeypatch):
+    # answered before either canonical search runs
     def no_search(code):
         raise AssertionError("canonical search run")
 
     monkeypatch.setattr(gf2, "canonical_form", no_search)
+    padded = make_code(
+        [word_to_string(g, 6) + "0" for g in de(3).generators], 7
+    )
+    assert equivalent(padded, simplex(3)) is None
     other = random_code(random.Random(16), 16, 6)
     assert equivalent(zero_code(16), other) is None
-    assert equivalent(other, de(8)) is None
 
 
 def test_essentially_isomorphic():
@@ -556,11 +553,9 @@ def test_enumerate_doubly_even_self_orthogonal():
 
 
 def test_enumerate_matches_golden():
-    # generator matrices of every class for length <= 13, recorded when the
-    # canonical form was refined by profiles; the list before it agreed
-    # class for class (equal counts per length, rule and dimension, each
-    # old representative carried onto one new one by a checked witness).
-    # The canonical matrix is part of the output, so it must never drift
+    # generator matrices of every class for length <= 13 under the
+    # profile-refined canonical form; the canonical matrix is part of the
+    # output, so it must never drift
     golden = json.loads(
         (Path(__file__).parent / "golden" / "enumerate_codes.json").read_text()
     )
