@@ -40,7 +40,6 @@ __all__ = [
     "permute",
     "canonical_form",
     "equivalent",
-    "essentially_isomorphic",
     "recognize_de",
     "enumerate_codes",
     "word_from_string",
@@ -288,16 +287,22 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # ---------------------------------------------------------------------------
 # Canonical form under coordinate permutation.
 #
-# Each coordinate has a *profile*: the number of words of each weight whose
-# support contains it, counted in the code or in its dual, whichever has the
-# smaller dimension (the code when 2 dim <= length).  The canonical
-# representative of the permutation orbit of a code is, among the
-# permutations that put the coordinates in nondecreasing profile order, the
-# one whose RREF generator matrix is lexicographically smallest when read
-# column by column (within a column, row 0 is the most significant bit).  A
-# permutation carries the profiles of C onto those of its image, so it maps
-# the allowed orderings of C onto those of the image, and the definition is
-# a canonical form.  Refining by the profile (Leon, IEEE Trans. IT 28, 1982;
+# The search runs on whichever of C and its dual has the smaller dimension
+# (C when 2 dim <= length).  A code with 2 dim > length takes the dual of
+# its dual's canonical form, with the same witness and automorphisms: a
+# permutation preserves the inner product, so sigma(C)^perp equals
+# sigma(C^perp), and Aut(C) = Aut(C^perp) (MacWilliams and Sloane, 1977).
+# So below, C has 2 dim <= length, at most 2^16 words.
+#
+# Each coordinate has a *profile*: the number of words of C of each weight
+# whose support contains it.  The canonical representative of the
+# permutation orbit of C is, among the permutations that put the
+# coordinates in nondecreasing profile order, the one whose RREF generator
+# matrix is lexicographically smallest when read column by column (within
+# a column, row 0 is the most significant bit).  A permutation carries the
+# profiles of C onto those of its image, so it maps the allowed orderings
+# of C onto those of the image, and the definition is a canonical form.
+# Refining by the profile (Leon, IEEE Trans. IT 28, 1982;
 # McKay and Piperno, "Practical graph isomorphism, II", 2014) lets depth d
 # branch only over the coordinates whose profile is the d-th smallest, which
 # keeps codes with small automorphism groups cheap.
@@ -325,7 +330,8 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
 
     ``canon`` has the lexicographically smallest column-major RREF matrix
     among the images of ``code`` whose coordinates are in nondecreasing
-    profile order (see the comment above).
+    profile order, or is the dual of its dual's canonical form when
+    2 dim > length (see the comment above).
     Returns ``(canon, images)`` where ``permute(code, images) == canon``.
     The witness is the first permutation the search finds that realises the
     canonical matrix.  The search depends only on the RREF generator matrix,
@@ -338,23 +344,35 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
 def _canonical_search(
     code: BinaryCode,
 ) -> Tuple[BinaryCode, Tuple[int, ...], List[List[int]]]:
-    """The search behind ``canonical_form``; also returns the automorphisms
-    it recorded, as image lists.
+    """The search behind ``canonical_form``; also returns generators of
+    Aut(code), as image lists.
 
-    With the transpositions of equal columns, which the search never
-    explores, they generate Aut(code): every leaf reaching the canonical
-    matrix is either visited, and so recorded, or pruned as the image of an
-    explored subtree under those permutations.
+    They are the automorphisms the search recorded and the transpositions
+    of equal columns, which it never explores: every leaf reaching the
+    canonical matrix is either visited, and so recorded, or pruned as the
+    image of an explored subtree under those permutations.
     """
     k, r = code.length, code.dim
-    if r == 0:
-        return code, tuple(range(k)), []
+    if 2 * r > k:
+        canon, images, auts = _canonical_search(_dual(code))
+        return _dual(canon), images, auts
 
     gens = code.generators
     # Static fingerprint of each column against the fixed RREF basis; equal
     # fingerprints mean the columns agree on every codeword, so at any search
     # node only the smallest unused column of each class need be tried.
     fp = [tuple((g >> c) & 1 for g in gens) for c in range(k)]
+    swaps: List[List[int]] = []
+    last: Dict[Tuple[int, ...], int] = {}
+    for c in range(k):
+        if fp[c] in last:
+            swap = list(range(k))
+            swap[c], swap[last[fp[c]]] = last[fp[c]], c
+            swaps.append(swap)
+        last[fp[c]] = c
+    if r == 0:
+        return code, tuple(range(k)), swaps
+
     # depth d may take only a column whose profile is the d-th smallest
     profile = _profiles(code)
     cells: Dict[Tuple[int, ...], int] = {}
@@ -469,22 +487,20 @@ def _canonical_search(
     images = [0] * k
     for pos, c in enumerate(best_chosen):
         images[c] = pos
-    return BinaryCode(k, tuple(canon_gens)), tuple(images), auts
+    return BinaryCode(k, tuple(canon_gens)), tuple(images), auts + swaps
 
 
 def _profiles(code: BinaryCode) -> List[Tuple[int, ...]]:
     """Each coordinate's profile: entry h counts the words of weight h whose
-    support contains it, read from the smaller of the code and its dual
-    (at most 2^16 words at length <= 32).
+    support contains it.
 
     The words are counted a bit plane at a time: column c is held as one
     int whose bit i says whether word i of ``codewords`` contains c, and
     adding the columns gives the binary digits of every word's weight.
     """
     k = code.length
-    small = code if 2 * code.dim <= k else _dual(code)
     cols, n = [0] * k, 1
-    for g in small.generators:
+    for g in code.generators:
         # words n..2n-1 are words 0..n-1 plus g
         flip = (1 << n) - 1
         cols = [x | ((x ^ flip if (g >> c) & 1 else x) << n)
@@ -524,23 +540,6 @@ def _orbits(n: int, maps: Iterable[Sequence[int]]) -> List[int]:
     return [find(c) for c in range(n)]
 
 
-def _automorphisms(code: BinaryCode) -> List[List[int]]:
-    """Generators of Aut(code), as image lists: the automorphisms its
-    canonical search records and the transpositions of equal columns."""
-    k = code.length
-    perms = _canonical_search(code)[2]
-    columns: Dict[Tuple[int, ...], List[int]] = {}
-    for c in range(k):
-        column = tuple((g >> c) & 1 for g in code.generators)
-        columns.setdefault(column, []).append(c)
-    for cs in columns.values():
-        for a, b in zip(cs, cs[1:]):
-            swap = list(range(k))
-            swap[a], swap[b] = b, a
-            perms.append(swap)
-    return perms
-
-
 def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
     """A permutation carrying a onto b, or None if none exists.
 
@@ -556,11 +555,6 @@ def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
     for i, p in enumerate(imgs_b):
         inv_b[p] = i
     return tuple(inv_b[imgs_a[i]] for i in range(a.length))
-
-
-def essentially_isomorphic(a: BinaryCode, b: BinaryCode) -> bool:
-    """True iff the codes agree after dropping identically-zero coordinates."""
-    return equivalent(reduce(a)[0], reduce(b)[0]) is not None
 
 
 def recognize_de(code: BinaryCode) -> Optional[int]:
@@ -697,7 +691,7 @@ def _extensions(
 
     slot = {x: i for i, x in enumerate(cosets)}
     maps = []
-    for perm in _automorphisms(base):
+    for perm in _canonical_search(base)[2]:
         # the coset map is linear and the cosets' words avoid the pivot
         # columns, so only the moved coordinates change a word
         moved = [(1 << c, (1 << c) ^ coset(1 << perm[c]))

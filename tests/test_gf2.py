@@ -18,7 +18,6 @@ from nodalcodes.gf2 import (
     de,
     enumerate_codes,
     equivalent,
-    essentially_isomorphic,
     format_code,
     is_doubly_even,
     is_even,
@@ -215,16 +214,10 @@ def column_major_key(code):
 
 
 def brute_profiles(code):
-    # independent path: the words of the code and of its dual found by
-    # testing every vector of the ambient space, then counted coordinate by
-    # coordinate in whichever has the smaller dimension
+    # independent path: the words of the code found by testing every vector
+    # of the ambient space, then counted coordinate by coordinate
     k = code.length
-    if 2 * code.dim <= k:
-        words = [v for v in range(1 << k) if contains(code, v)]
-    else:
-        words = [v for v in range(1 << k)
-                 if all(bin(v & g).count("1") % 2 == 0
-                        for g in code.generators)]
+    words = [v for v in range(1 << k) if contains(code, v)]
     return [
         tuple(sum(1 for w in words
                   if (w >> c) & 1 and bin(w).count("1") == h)
@@ -242,24 +235,43 @@ def test_profiles_match_bruteforce():
         assert gf2._profiles(code) == brute_profiles(code), code
 
 
+def brute_dual(code):
+    k = code.length
+    return make_code([v for v in range(1 << k)
+                      if all(bin(v & g).count("1") % 2 == 0
+                             for g in code.generators)], k)
+
+
+def brute_minimum(code):
+    # the image with the smallest column-major RREF matrix over the k!
+    # permutations that put the coordinates in nondecreasing profile order
+    k = code.length
+    profile = brute_profiles(code)
+    images = {}
+    for p in permutations(range(k)):
+        placed = [None] * k
+        for c in range(k):
+            placed[p[c]] = profile[c]
+        if placed == sorted(placed):
+            image = permute(code, p)
+            images[column_major_key(image)] = image
+    return images[min(images)]
+
+
 def test_canonical_form_matches_bruteforce_minimum():
-    # oracle: the smallest column-major RREF matrix over the k! permutations
-    # that put the coordinates in nondecreasing profile order
+    # oracle: the brute-force minimum, or for a code with 2 dim > k the dual
+    # of the brute-force minimum for its dual
     rng = random.Random(2024)
     for _ in range(40):
         k = rng.randrange(2, 8)
         rows = [rng.randrange(1, 1 << k) for _ in range(rng.randrange(1, k))]
         code = make_code(rows, k)
-        profile = brute_profiles(code)
-        keys = []
-        for p in permutations(range(k)):
-            placed = [None] * k
-            for c in range(k):
-                placed[p[c]] = profile[c]
-            if placed == sorted(placed):
-                keys.append(column_major_key(permute(code, p)))
+        if 2 * code.dim > k:
+            expected = brute_dual(brute_minimum(brute_dual(code)))
+        else:
+            expected = brute_minimum(code)
         canon, images = canonical_form(code)
-        assert column_major_key(canon) == min(keys), code
+        assert canon == expected, code
         assert permute(code, images) == canon
 
 
@@ -317,22 +329,35 @@ LOW_SYMMETRY = [(12, 6), (13, 6), (14, 6), (16, 5), (16, 6), (16, 8),
                 (12, 8), (13, 8), (14, 9), (16, 11), (16, 12)]
 
 
+def assert_forms_within_budget(rng, code):
+    images = list(range(code.length))
+    rng.shuffle(images)
+    forms = []
+    for c in (code, permute(code, images)):
+        with within(0.5):  # uncached, so the search is timed
+            canon, witness = canonical_form.__wrapped__(c)
+        assert permute(c, witness) == canon
+        forms.append(canon)
+    assert forms[0] == forms[1], code
+
+
 @pytest.mark.parametrize("n,k", LOW_SYMMETRY)
 def test_canonical_form_low_symmetry_within_budget(n, k):
     # random codes have small automorphism groups, so pruning by them does
     # little; without refinement by profiles some of these took over 8 s
     rng = random.Random(n * 100 + k)
     for _ in range(2):
-        code = random_code(rng, n, k)
-        images = list(range(n))
-        rng.shuffle(images)
-        forms = []
-        for c in (code, permute(code, images)):
-            with within(0.5):  # uncached, so the search is timed
-                canon, witness = canonical_form.__wrapped__(c)
-            assert permute(c, witness) == canon
-            forms.append(canon)
-        assert forms[0] == forms[1], code
+        assert_forms_within_budget(rng, random_code(rng, n, k))
+
+
+@pytest.mark.parametrize("n,k", [(16, 16), (24, 24), (32, 32), (16, 14),
+                                 (20, 18), (24, 22), (32, 30)])
+def test_canonical_form_high_rate_within_budget(n, k):
+    # searched on the dual, of dimension n - k; searched on the code itself,
+    # F_2^32 took 4-5 s and the [32,30] code of seed 3230 over 20 s on a
+    # 2-vCPU Xeon VM
+    rng = random.Random(n * 100 + k)
+    assert_forms_within_budget(rng, random_code(rng, n, k))
 
 
 def brute_automorphism_count(code):
@@ -394,9 +419,7 @@ def test_automorphisms_generate_the_whole_group():
     # the enumeration extends each base once per orbit of these generators,
     # so each must be an automorphism and together they must reach every one
     for name, code in automorphism_cases().items():
-        recorded = gf2._canonical_search(code)[2]
-        generators = gf2._automorphisms(code)
-        assert all(g in generators for g in recorded), name
+        generators = gf2._canonical_search(code)[2]
         for g in generators:
             assert permute(code, g) == code, name
         assert group_order(code.length, generators) == \
@@ -440,15 +463,6 @@ def test_not_equivalent_different_dims(monkeypatch):
     assert equivalent(padded, simplex(3)) is None
     other = random_code(random.Random(16), 16, 6)
     assert equivalent(zero_code(16), other) is None
-
-
-def test_essentially_isomorphic():
-    padded = make_code(
-        [word_to_string(g, 7) + "00" for g in simplex(3).generators], 9
-    )
-    assert essentially_isomorphic(padded, simplex(3))
-    assert essentially_isomorphic(zero_code(4), zero_code(1))
-    assert not essentially_isomorphic(de(2), zero_code(4))
 
 
 def test_equivalence_respects_weight_enumerator():
@@ -501,7 +515,7 @@ def test_recognize_de_rejects_wrong_dimension():
     assert is_doubly_even(c)
     assert recognize_de(c) is None
     for n in range(1, 6):
-        assert not essentially_isomorphic(c, de(n))
+        assert equivalent(reduce(c)[0], reduce(de(n))[0]) is None
 
 
 def test_recognize_de_zero_code():
