@@ -54,13 +54,6 @@ class Step:
     reference: str
     values: Dict[str, object] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "claim": self.claim,
-            "reference": self.reference,
-            "values": dict(self.values),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Fixed-point arithmetic of an involution.

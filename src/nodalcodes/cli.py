@@ -23,8 +23,7 @@ line (package version, algorithm id, code count), then one JSON object per
 code.  A rerun with identical inputs reuses the file only if the stamp
 matches and every line is the serialization of a canonical code of the
 requested length, dimension range and weight rule, in order; otherwise it
-recomputes and replaces the file atomically.  The NODALCODES_CACHE
-environment variable overrides --cache.
+recomputes and replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -217,15 +216,14 @@ def _code_equiv(args: argparse.Namespace) -> Result:
           _arg("--cache", default=None,
                help="directory for the JSONL result cache"))
 def _code_enumerate(args: argparse.Namespace) -> Result:
-    cache_dir = os.environ.get("NODALCODES_CACHE") or args.cache
     cache_file: Optional[Path] = None
     lines: Optional[List[str]] = None
-    if cache_dir:
+    if args.cache:
         name = (
             f"enumerate_len{args.length}_w{args.weights}"
             f"_dim{args.dim_min}-{args.dim_max}.jsonl"
         )
-        cache_file = Path(cache_dir) / name
+        cache_file = Path(args.cache) / name
         lines = _read_cache(cache_file, args)
     if lines is None:
         codes = gf2.enumerate_codes(
@@ -269,7 +267,7 @@ def _lattice_build(args: argparse.Namespace) -> Result:
           _arg("file"))
 def _lattice_identify(args: argparse.Namespace) -> Result:
     lat = lattices.lattice_from_json(Path(args.file).read_text())
-    outputs = {**lattices.identify_root_system(lat).as_dict(),
+    outputs = {**asdict(lattices.identify_root_system(lat)),
                "discriminant": str(lattices.discriminant(lat))}
     return outputs, [], "ok"
 
@@ -304,8 +302,8 @@ def _cover_invariants(args: argparse.Namespace) -> Result:
         ),
     ]
     outputs = {
-        "cover": result.cover.as_dict(),
-        "contracted": result.contracted.as_dict(),
+        "cover": asdict(result.cover),
+        "contracted": asdict(result.contracted),
         "blowdowns": result.blowdowns,
         "warnings": list(result.warnings),
     }
@@ -354,8 +352,10 @@ def _bound_min_m(args: argparse.Namespace) -> Result:
     value = covers.min_m_for_r(args.r)
     steps = [
         Step(
-            "chi > 0 for the cover forces m >= 8 (2^r - 1) / 2^r",
-            "positivity of the cover's holomorphic Euler characteristic",
+            "each of the m covered coordinates lies in 2^(r-1) words and "
+            "each of the 2^r - 1 nonzero words has weight >= 4, so "
+            "m >= 8 (2^r - 1) / 2^r",
+            "weight counting in the rank-r cover code",
             {"r": args.r, "min_m": value},
         )
     ]
@@ -534,7 +534,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         "command": args.command,
         "inputs": inputs,
         "outputs": outputs,
-        "derivation": [s.as_dict() for s in steps],
+        "derivation": [asdict(s) for s in steps],
         "status": status,
     }
     _emit(report, pretty)

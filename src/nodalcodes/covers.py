@@ -42,7 +42,6 @@ __all__ = [
     "min_m_for_r",
     "isotropic_bound",
     "miyaoka_max_nodes",
-    "picard_after_contraction",
 ]
 
 
@@ -87,17 +86,6 @@ class SurfaceInvariants:
                 f"with pg = q = 0, c2 must be rho + 2; got c2 = {self.c2}, "
                 f"rho = {self.rho}"
             )
-
-    def as_dict(self) -> dict:
-        return {
-            "chi": self.chi,
-            "K2": self.K2,
-            "c2": self.c2,
-            "rho": self.rho,
-            "pg": self.pg,
-            "q": self.q,
-            "kodaira": self.kodaira,
-        }
 
 
 @dataclass(frozen=True)
@@ -242,15 +230,3 @@ def miyaoka_max_nodes(K2: int, c2: int) -> NodeBound:
             "kodaira dimension is non-negative",
         ),
     )
-
-
-def picard_after_contraction(rho: int, n: int) -> int:
-    """Picard number after contracting n disjoint (-1)- or (-2)-classes."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative: {n}")
-    out = rho - n
-    if out < 1:
-        raise ValueError(
-            f"contracting {n} classes from rho = {rho} leaves rank {out} < 1"
-        )
-    return out

@@ -46,7 +46,7 @@ class GramLattice:
     ``scaling`` records which Construction-A convention produced it:
     "unscaled" for the plain preimage of a code, "half" for the preimage
     rescaled by 1/sqrt(2).  Lattices built directly from a Gram matrix may
-    use either tag.
+    use either tag.  The form must be positive definite.
     """
 
     rank: int
@@ -67,6 +67,7 @@ class GramLattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("doubled_gram must be symmetric")
+        _bareiss_rows(g)
 
 
 def _gram_from_basis(basis: List[List[int]], doubled: bool) -> Tuple[Tuple[int, ...], ...]:
@@ -134,7 +135,7 @@ def _reduce_basis(
         changed = False
         for i in range(n):
             for j in range(n):
-                if i == j or g[j][j] <= 0:
+                if i == j:
                     continue
                 mu = (2 * g[i][j] + g[j][j]) // (2 * g[j][j])
                 if mu == 0:
@@ -152,15 +153,17 @@ def _reduce_basis(
     return g, u
 
 
-def _bareiss_rows(g: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
+def _bareiss_rows(
+    g: Sequence[Sequence[int]],
+) -> Tuple[List[int], List[List[int]]]:
     """Fraction-free LDL^T of a symmetric integer matrix (Bareiss).
 
     Returns the leading principal minors d = [1, d_1, ..., d_n] and integer
     rows U_i (only the entries j >= i are meaningful, U_ii = d_{i+1}) with
-    x^T g x = sum_i (U_i . x)^2 / (d_i d_{i+1}).  The recurrence is the one
-    of ``_int_det``.  Raises if the form is not positive definite.
+    x^T g x = sum_i (U_i . x)^2 / (d_i d_{i+1}).  Raises if the form is not
+    positive definite.
     """
-    a = [row[:] for row in g]
+    a = [list(row) for row in g]
     n = len(a)
     d = [1]
     for i in range(n):
@@ -226,13 +229,6 @@ class RootSystemReport:
     root_count: int
     components: Tuple[str, ...]
     full_rank: bool
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "root_count": self.root_count,
-            "components": list(self.components),
-            "full_rank": self.full_rank,
-        }
 
 
 _COMPONENT_ROOTS = {
@@ -355,31 +351,9 @@ def identify_root_system(lat: GramLattice) -> RootSystemReport:
 # ---------------------------------------------------------------------------
 
 
-def _int_det(m: Sequence[Sequence[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    a = [list(row) for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for j in range(i + 1, n):
-                if a[j][i] != 0:
-                    a[i], a[j] = a[j], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for j in range(i + 1, n):
-            for k in range(i + 1, n):
-                a[j][k] = (a[j][k] * a[i][i] - a[j][i] * a[i][k]) // prev
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
-
-
 def discriminant(lat: GramLattice) -> Fraction:
     """Determinant of the true Gram matrix, as an exact rational."""
-    return Fraction(_int_det(lat.doubled_gram), 2 ** lat.rank)
+    return Fraction(_bareiss_rows(lat.doubled_gram)[0][-1], 2 ** lat.rank)
 
 
 # ---------------------------------------------------------------------------

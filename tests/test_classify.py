@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -151,7 +152,7 @@ def test_derivation_steps_serialize():
     for k2 in (8, 9):
         for case in classify_involution(k2):
             for step in case.derivation:
-                d = step.as_dict()
+                d = asdict(step)
                 assert set(d) == {"claim", "reference", "values"}
                 json.dumps(d)
 

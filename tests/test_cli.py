@@ -192,18 +192,6 @@ def test_enumerate_bad_cache_is_recomputed(capsys, tmp_path, tamper):
         "enumerate_len7_w4_dim1-7.jsonl"]
 
 
-def test_enumerate_env_overrides_cache_flag(capsys, tmp_path, monkeypatch):
-    flag_dir = tmp_path / "flag"
-    env_dir = tmp_path / "env"
-    monkeypatch.setenv("NODALCODES_CACHE", str(env_dir))
-    rc, rep = invoke(capsys, "code", "enumerate", "--length", "4",
-                     "--weights", "4", "--dim-min", "1", "--dim-max", "4",
-                     "--cache", str(flag_dir))
-    assert rc == 0
-    assert rep["outputs"]["cache_file"].startswith(str(env_dir))
-    assert not flag_dir.exists()
-
-
 def test_lattice_build_and_identify(capsys, tmp_path):
     code_path = write_code(tmp_path, "de2.txt", de(2))
     lat_path = str(tmp_path / "lat.json")

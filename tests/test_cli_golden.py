@@ -1,9 +1,8 @@
 """Byte-for-byte JSON reports of the CLI on a fixed corpus.
 
 Each case runs its argv lists in order in one fresh directory holding the
-FILES below, with relative file names and no NODALCODES_CACHE, and compares
-every run's exit code and standard output with
-``tests/golden/cli/<case>.json``.  Rewrite the goldens with
+FILES below, with relative file names, and compares every run's exit code
+and standard output with ``tests/golden/cli/<case>.json``.  Rewrite the goldens with
 ``python tests/test_cli_golden.py`` and read the diff before committing.
 """
 
@@ -96,7 +95,6 @@ def dump(runs):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_golden(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NODALCODES_CACHE", raising=False)
     assert dump(record(case, tmp_path)) == \
         (GOLDEN / f"{case}.json").read_text()
 
@@ -118,7 +116,6 @@ def test_goldens_cover_every_command():
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop("NODALCODES_CACHE", None)
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:

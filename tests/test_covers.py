@@ -8,7 +8,6 @@ from nodalcodes.covers import (
     isotropic_bound,
     min_m_for_r,
     miyaoka_max_nodes,
-    picard_after_contraction,
 )
 from nodalcodes.gf2 import enumerate_codes
 
@@ -174,12 +173,3 @@ def test_miyaoka_bound_values():
 def test_miyaoka_rejects_impossible_chern_numbers(k2, c2):
     with pytest.raises(ValueError):
         miyaoka_max_nodes(k2, c2)
-
-
-def test_picard_after_contraction():
-    assert picard_after_contraction(10, 8) == 2
-    assert picard_after_contraction(5, 0) == 5
-    with pytest.raises(ValueError):
-        picard_after_contraction(5, 5)
-    with pytest.raises(ValueError):
-        picard_after_contraction(5, -1)

@@ -145,9 +145,9 @@ def test_roots_empty_when_minimum_exceeds_two():
 
 
 def test_roots_rejects_indefinite_form():
-    lat = GramLattice(2, ((2, 4), (4, 2)), "unscaled")
-    with pytest.raises(ValueError):
-        roots(lat)
+    # rejected when the lattice is built, before any search
+    with pytest.raises(ValueError, match="not positive definite"):
+        GramLattice(2, ((2, 4), (4, 2)), "unscaled")
 
 
 def test_roots_come_in_opposite_pairs():
