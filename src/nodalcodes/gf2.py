@@ -364,12 +364,12 @@ def _canonical_search(
     fp = [tuple((g >> c) & 1 for g in gens) for c in range(k)]
     swaps: List[List[int]] = []
     last: Dict[Tuple[int, ...], int] = {}
-    for c in range(k):
-        if fp[c] in last:
+    for c, f in enumerate(fp):
+        if f in last:
             swap = list(range(k))
-            swap[c], swap[last[fp[c]]] = last[fp[c]], c
+            swap[c], swap[last[f]] = last[f], c
             swaps.append(swap)
-        last[fp[c]] = c
+        last[f] = c
     if r == 0:
         return code, tuple(range(k)), swaps
 
