@@ -12,6 +12,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from helpers import brute_weight4_codes
+
 from nodalcodes.classify import (
     classify_involution,
     feasible_kr_pairs,
@@ -131,30 +133,6 @@ def test_criterion_04_minimum_support_size():
         assert min_m_for_r(3) == 7
         for r in range(4, 21):
             assert min_m_for_r(r) == 8
-
-
-def brute_weight4_codes(length):
-    pool = [w for w in range(1, 1 << length) if bin(w).count("1") == 4]
-    found = {}
-
-    def grow(span, start):
-        key = frozenset(span)
-        if key in found:
-            return
-        support = 0
-        for w in span:
-            support |= w
-        found[key] = (len(span).bit_length() - 1, bin(support).count("1"))
-        for i in range(start, len(pool)):
-            w = pool[i]
-            if w not in span and all(
-                bin(w ^ c).count("1") == 4 for c in span if w ^ c
-            ):
-                grow(span | {w ^ c for c in span}, i + 1)
-
-    for i, w in enumerate(pool):
-        grow({0, w}, i + 1)
-    return set(found.values())
 
 
 def test_criterion_05_feasibility_list():

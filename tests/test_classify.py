@@ -3,6 +3,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
+from helpers import brute_weight4_codes
 
 from nodalcodes.classify import (
     FIBER_TYPES,
@@ -32,36 +33,6 @@ def brute_md_solutions(bound=1000):
         for d in range(1, bound + 1)
         if d * m == m + 2 * d
     }
-
-
-def brute_weight4_codes(length):
-    """Every linear code of the given length whose nonzero words all have
-    weight 4, found by growing generator sets word by word.  Returns a set
-    of (dim, support_size) pairs keyed by the span itself, with no help
-    from the library's canonical-form machinery.
-    """
-    pool = [w for w in range(1, 1 << length) if bin(w).count("1") == 4]
-    found = {}
-
-    def grow(span, start):
-        key = frozenset(span)
-        if key in found:
-            return
-        dim = len(span).bit_length() - 1
-        support = 0
-        for w in span:
-            support |= w
-        found[key] = (dim, bin(support).count("1"))
-        for i in range(start, len(pool)):
-            w = pool[i]
-            if w in span:
-                continue
-            if all(bin(w ^ c).count("1") == 4 for c in span if w ^ c):
-                grow(span | {w ^ c for c in span}, i + 1)
-
-    for i, w in enumerate(pool):
-        grow({0, w}, i + 1)
-    return set(found.values())
 
 
 # -- fixed-point arithmetic ---------------------------------------------------

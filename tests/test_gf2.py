@@ -1,13 +1,12 @@
 import json
 import random
-import signal
 import time
-from contextlib import contextmanager
 from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 
 import pytest
+from helpers import within
 
 from nodalcodes import gf2
 from nodalcodes.gf2 import (
@@ -581,25 +580,6 @@ def test_enumerate_matches_golden():
         for length in range(1, 14)
     }
     assert got == golden
-
-
-@contextmanager
-def within(seconds):
-    # a slow search is interrupted, not waited for
-    def expire(signum, frame):
-        raise TimeoutError(f"over the {seconds}-s budget")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    except TimeoutError as exc:
-        # raised afresh: the frame the alarm interrupted can carry no line
-        # number, and pytest cannot format such a traceback
-        raise TimeoutError(*exc.args) from None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def test_enumerate_length_13_within_budget(monkeypatch):

@@ -1,12 +1,11 @@
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import within
 
 from nodalcodes.gf2 import (
     codewords,
@@ -84,21 +83,6 @@ def cartan(kind, n):
     for a, b in edges:
         g[a][b] = g[b][a] = -2
     return GramLattice(n, tuple(tuple(row) for row in g), "unscaled")
-
-
-@contextmanager
-def within(seconds):
-    # a hung search is interrupted, not waited for
-    def expire(signum, frame):
-        raise TimeoutError(f"over the {seconds}-s budget")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
 
 
 # --- construction ------------------------------------------------------------
