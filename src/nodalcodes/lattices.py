@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .gf2 import BinaryCode, is_doubly_even, is_even
 
@@ -70,18 +70,6 @@ class GramLattice:
         _bareiss_rows(g)
 
 
-def _gram_from_basis(basis: List[List[int]], doubled: bool) -> Tuple[Tuple[int, ...], ...]:
-    n = len(basis)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            dot = sum(a * b for a, b in zip(basis[i], basis[j]))
-            row.append(2 * dot if doubled else dot)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def construction_a(code: BinaryCode, scaling: str) -> GramLattice:
     """Lattice of integer vectors reducing mod 2 into the code.
 
@@ -101,15 +89,16 @@ def construction_a(code: BinaryCode, scaling: str) -> GramLattice:
     if scaling == "unscaled" and not is_even(code):
         raise ValueError("scaling 'unscaled' needs an even-weight code")
 
+    # (word, multiplier) pairs; 2<s*a, t*b> = 2st|a & b|, halved for "half"
     pivots = {(g & -g).bit_length() - 1 for g in code.generators}
-    basis: List[List[int]] = []
-    for g in code.generators:
-        basis.append([(g >> c) & 1 for c in range(k)])
-    for c in range(k):
-        if c not in pivots:
-            basis.append([2 if i == c else 0 for i in range(k)])
-    # doubled gram: 2<.,.> with <.,.> the dot product, halved once for "half"
-    return GramLattice(k, _gram_from_basis(basis, doubled=(scaling == "unscaled")), scaling)
+    basis = [(g, 1) for g in code.generators]
+    basis += [(1 << c, 2) for c in range(k) if c not in pivots]
+    unit = 2 if scaling == "unscaled" else 1
+    gram = tuple(
+        tuple(unit * s * t * (a & b).bit_count() for b, t in basis)
+        for a, s in basis
+    )
+    return GramLattice(k, gram, scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -231,55 +220,12 @@ class RootSystemReport:
     full_rank: bool
 
 
-_COMPONENT_ROOTS = {
-    "A": lambda n: n * (n + 1),
-    "D": lambda n: 2 * n * (n - 1),
-    "E": {6: 72, 7: 126, 8: 240},
-}
-
-
-def _component_label(vertices: List[int], adj: Dict[int, List[int]]) -> str:
-    n = len(vertices)
-    degs = {v: len(adj[v]) for v in vertices}
-    if any(d > 3 for d in degs.values()):
-        raise ValueError("root graph is not of ADE type (degree > 3)")
-    edges = sum(degs.values()) // 2
-    if edges != n - 1:
-        raise ValueError("root graph is not of ADE type (contains a cycle)")
-    branch = [v for v in vertices if degs[v] == 3]
-    if not branch:
-        return f"A{n}"
-    if len(branch) > 1:
-        raise ValueError("root graph is not of ADE type (two branch nodes)")
-    b = branch[0]
-    arms = []
-    for start in adj[b]:
-        ln, prev, cur = 1, b, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            ln += 1
-        arms.append(ln)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return f"D{n}"
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    raise ValueError(f"root graph is not of ADE type (arms {arms})")
-
-
 def identify_root_system(lat: GramLattice) -> RootSystemReport:
     """Match the norm-2 vectors to a sum of ADE root systems.
 
     Simple roots are taken to be the positive roots (lexicographically
     positive coordinate vector) that are not sums of two positive roots.
-    Raises if the configuration is not simply laced.
+    Raises if the configuration is not simply laced or not of ADE type.
     """
     all_roots = roots(lat)
     positive = [v for v in all_roots if v > tuple([0] * lat.rank)]
@@ -293,48 +239,51 @@ def identify_root_system(lat: GramLattice) -> RootSystemReport:
 
     m = len(simple)
     g = lat.doubled_gram
-    adj: Dict[int, List[int]] = {i: [] for i in range(m)}
+    # doubled Cartan matrix of the simple roots
+    cartan = [[4 if i == j else 0 for j in range(m)] for i in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            # doubled product 2<simple[i], simple[j]>
             p2 = sum(
                 a * g[r][c] * b
                 for r, a in enumerate(simple[i]) if a
                 for c, b in enumerate(simple[j]) if b
             )
-            if p2 == 0:
-                continue
-            if p2 == -2:
-                adj[i].append(j)
-                adj[j].append(i)
-            else:
+            if p2 not in (0, -2):
                 raise ValueError(
                     f"simple roots meet with product {Fraction(p2, 2)}; "
                     "not simply laced"
                 )
+            cartan[i][j] = cartan[j][i] = p2
 
+    # a connected positive definite simply laced Cartan matrix of rank n is
+    # A_n, D_n or E_n, told apart by its determinant: n + 1 for A_n, 4 for
+    # D_n (n >= 4), 3, 2, 1 for E6, E7, E8 (Humphreys 1972, section 11)
     unseen = set(range(m))
     labels: List[str] = []
     accounted = 0
     while unseen:
-        v0 = min(unseen)
-        comp = [v0]
-        unseen.discard(v0)
-        queue = [v0]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w in unseen:
-                    unseen.discard(w)
-                    comp.append(w)
-                    queue.append(w)
-        label = _component_label(comp, adj)
-        labels.append(label)
-        family, size = label[0], int(label[1:])
-        if family == "E":
-            accounted += _COMPONENT_ROOTS["E"][size]
+        comp = [unseen.pop()]
+        for v in comp:
+            near = [w for w in unseen if cartan[v][w]]
+            unseen.difference_update(near)
+            comp.extend(near)
+        n = len(comp)
+        block = [[cartan[i][j] for j in comp] for i in comp]
+        try:
+            det = _bareiss_rows(block)[0][-1] >> n
+        except ValueError:
+            det = 0
+        if det == n + 1:
+            labels.append(f"A{n}")
+            accounted += n * (n + 1)
+        elif det == 4 and n >= 4:
+            labels.append(f"D{n}")
+            accounted += 2 * n * (n - 1)
+        elif (n, det) in ((6, 3), (7, 2), (8, 1)):
+            labels.append(f"E{n}")
+            accounted += {6: 72, 7: 126, 8: 240}[n]
         else:
-            accounted += _COMPONENT_ROOTS[family](size)
+            raise ValueError("root graph is not of ADE type")
     if accounted != len(all_roots):
         raise ValueError(
             f"{len(all_roots)} roots but components account for {accounted}"

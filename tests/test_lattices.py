@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import within
 
+from nodalcodes import lattices
 from nodalcodes.gf2 import (
     codewords,
     contains,
@@ -313,6 +314,26 @@ def test_not_simply_laced_raises():
     # two norm-2 vectors meeting with product 1/2: no ADE match possible
     lat = GramLattice(2, ((4, 1), (1, 4)), "half")
     with pytest.raises(ValueError, match="product 1/2; not simply laced"):
+        identify_root_system(lat)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (0, 2)],  # a cycle
+    [(0, 1), (0, 2), (0, 3), (0, 4)],  # a vertex of degree 4
+])
+def test_non_ade_root_graph_raises(monkeypatch, edges):
+    # simple roots e_i meeting as the edges say form an affine diagram,
+    # whose Cartan matrix is singular.  A lattice never has such roots, so
+    # they are planted by replacing the root search
+    n = 1 + max(max(e) for e in edges)
+    g = [[6 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        g[a][b] = g[b][a] = -2
+    lat = GramLattice(n, tuple(map(tuple, g)), "unscaled")
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    planted = sorted(unit + [tuple(-x for x in v) for v in unit])
+    monkeypatch.setattr(lattices, "roots", lambda lat: planted)
+    with pytest.raises(ValueError, match="root graph is not of ADE type"):
         identify_root_system(lat)
 
 
