@@ -414,7 +414,12 @@ def fiber_budget(
         raise ValueError(
             f"nodes_required must be non-negative: {nodes_required}"
         )
-    ranges = [range(total_euler // f.euler + 1) for f in FIBER_TYPES]
+    # capacities sum to exactly nodes_required, which caps each count
+    ranges = [
+        range(min(total_euler // f.euler,
+                  nodes_required // f.nodal_capacity) + 1)
+        for f in FIBER_TYPES
+    ]
     out = []
     for counts in product(*ranges):
         euler = sum(c * f.euler for c, f in zip(counts, FIBER_TYPES))
@@ -463,6 +468,15 @@ class SweepRow:
     tag: str
 
 
+_SURVIVOR_TAGS = {
+    2: "realized by a ruled surface with a section of square -2",
+    8: (
+        "survives numerically at r = 3 (simplex code); excluded by a "
+        "finer double-cover argument"
+    ),
+}
+
+
 def saturated_node_sweep(rho: int) -> SweepRow:
     """Feasibility of k = rho - 1 disjoint nodal curves on a rational
     surface of Picard number rho (2 <= rho <= 14).
@@ -476,16 +490,6 @@ def saturated_node_sweep(rho: int) -> SweepRow:
         raise ValueError(f"rho out of range [2, 14]: {rho}")
     k = rho - 1
     K2_Y = 10 - rho
-    if rho == 2:
-        return SweepRow(
-            rho=2,
-            k=1,
-            K2_Y=8,
-            r_min=0,
-            survives=True,
-            attained_r=(0,),
-            tag="realized by a ruled surface with a section of square -2",
-        )
     r_min = isotropic_bound(k, rho)
     if r_min >= 4:
         # m >= 8 is forced, the code reduces to a doubled even-weight code
@@ -511,17 +515,12 @@ def saturated_node_sweep(rho: int) -> SweepRow:
         )
     # here k <= 7, so m < 8 automatically and all weights are exactly 4
     attained_list = []
-    for code in enumerate_codes(k, "4", max(1, r_min), k):
+    for code in enumerate_codes(k, "4", r_min, k):
         if code.dim not in attained_list:
             attained_list.append(code.dim)
     survives = bool(attained_list)
-    if rho == 8 and survives:
-        tag = (
-            "survives numerically at r = 3 (simplex code); excluded by a "
-            "finer double-cover argument"
-        )
-    elif survives:
-        tag = "survives numerically"
+    if survives:
+        tag = _SURVIVOR_TAGS.get(rho, "survives numerically")
     else:
         tag = "no admissible code of length k exists"
     return SweepRow(

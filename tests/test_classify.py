@@ -3,7 +3,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
-from helpers import brute_weight4_codes
+from helpers import brute_weight4_codes, within
 
 from nodalcodes.classify import (
     FIBER_TYPES,
@@ -175,6 +175,13 @@ def test_fiber_budget_rejects_negative():
         fiber_budget(12, -2)
 
 
+def test_fiber_budget_cost_does_not_grow_with_euler():
+    # every node costs at most 3 in Euler number, so past 3 * nodes the
+    # budget admits nothing new; the search must not loop over it
+    with within(1.0):
+        assert fiber_budget(10**6, 8) == fiber_budget(24, 8)
+
+
 def test_fiber_types_table():
     table = {(f.kind, f.euler, f.nodal_capacity) for f in FIBER_TYPES}
     assert table == {("I2", 2, 1), ("III", 3, 1), ("I0star", 6, 4)}
@@ -247,14 +254,16 @@ def test_sweep_range_checked():
 
 
 def test_sweep_small_rows_match_raw_search():
-    # for 3 <= rho <= 8 the sweep is pure code enumeration; replay it
-    for rho in range(3, 9):
+    # for 2 <= rho <= 8 the sweep is pure code enumeration; replay it.  The
+    # raw search grows nonzero spans, so the zero code is added by hand; it
+    # counts only at rho = 2, where the isotropic bound is 0
+    for rho in range(2, 9):
         row = saturated_node_sweep(rho)
         k = rho - 1
         dims = {
             dim
-            for dim, _ in brute_weight4_codes(k)
-            if dim >= max(1, isotropic_bound(k, rho))
+            for dim, _ in brute_weight4_codes(k) | {(0, 0)}
+            if dim >= isotropic_bound(k, rho)
         }
         assert set(row.attained_r) == dims
         assert row.survives == bool(dims)
