@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import (
-    Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+    Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 MAX_LENGTH = 32
@@ -320,11 +320,17 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # under the automorphisms found so far that fix the node's prefix pointwise;
 # the subtrees of orbit-mates are images of each other, so they reach the
 # same matrices.  Automorphisms preserve profiles, so every one of them maps
-# an allowed ordering onto an allowed ordering.
+# an allowed ordering onto an allowed ordering.  Each node keeps the orbits
+# of its prefix's pointwise stabilizer as one union-find, and merges in only
+# the automorphisms found since it last looked, not all of them again
+# (McKay and Piperno 2014 keep orbits the same way).
+#
+# The search also returns generators of Aut(C), and the results are cached,
+# so enumeration reads the automorphisms of each class it has canonicalized
+# instead of searching the class again (see ``_extensions``).
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
     """Canonical representative of the permutation orbit, with a witness.
 
@@ -341,11 +347,21 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
     return canon, images
 
 
+# Generators of a code's automorphism group, as tuples of images.
+Generators = Tuple[Tuple[int, ...], ...]
+
+# Far above one process's traffic: a perfbench enumerate pass held 161
+# entries, an equiv pass 196, and a cold length-16 "div4" enumeration makes
+# about 650 searches.
+_SEARCH_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_SEARCH_CACHE_SIZE)
 def _canonical_search(
     code: BinaryCode,
-) -> Tuple[BinaryCode, Tuple[int, ...], List[List[int]]]:
+) -> Tuple[BinaryCode, Tuple[int, ...], Generators]:
     """The search behind ``canonical_form``; also returns generators of
-    Aut(code), as image lists.
+    Aut(code), as tuples of images.
 
     They are the automorphisms the search recorded and the transpositions
     of equal columns, which it never explores: every leaf reaching the
@@ -358,20 +374,23 @@ def _canonical_search(
         return _dual(canon), images, auts
 
     gens = code.generators
-    # Static fingerprint of each column against the fixed RREF basis; equal
-    # fingerprints mean the columns agree on every codeword, so at any search
-    # node only the smallest unused column of each class need be tried.
-    fp = [tuple((g >> c) & 1 for g in gens) for c in range(k)]
-    swaps: List[List[int]] = []
-    last: Dict[Tuple[int, ...], int] = {}
-    for c, f in enumerate(fp):
-        if f in last:
+    # Class of each column against the fixed RREF basis; columns of one
+    # class agree on every codeword, so at any search node only the
+    # smallest unused column of each class need be tried.
+    classes: Dict[Tuple[int, ...], int] = {}
+    cls = []
+    swaps: List[Tuple[int, ...]] = []
+    last: Dict[int, int] = {}
+    for c in range(k):
+        j = classes.setdefault(tuple((g >> c) & 1 for g in gens), len(classes))
+        cls.append(j)
+        if j in last:
             swap = list(range(k))
-            swap[c], swap[last[f]] = last[f], c
-            swaps.append(swap)
-        last[f] = c
+            swap[c], swap[last[j]] = last[j], c
+            swaps.append(tuple(swap))
+        last[j] = c
     if r == 0:
-        return code, tuple(range(k)), swaps
+        return code, tuple(range(k)), tuple(swaps)
 
     # depth d may take only a column whose profile is the d-th smallest
     profile = _profiles(code)
@@ -382,8 +401,9 @@ def _canonical_search(
 
     best_cols: Optional[List[int]] = None
     best_chosen: Optional[List[int]] = None
-    # automorphisms found so far, as image lists: auts[j][c] is where c goes
-    auts: List[List[int]] = []
+    # automorphisms found so far, as image lists (auts[j][c] is where c
+    # goes), each with the mask of the points it fixes
+    auts: List[Tuple[List[int], int]] = []
     generation = 0
 
     def descend(
@@ -404,22 +424,27 @@ def _canonical_search(
             else:
                 # this leaf reproduces the best matrix, so sending its
                 # column order onto the best one is an automorphism
-                aut = [0] * k
+                aut, fixed = [0] * k, 0
                 for c, b in zip(chosen, best_chosen):
                     aut[c] = b
-                auts.append(aut)
+                    if c == b:
+                        fixed |= 1 << c
+                auts.append((aut, fixed))
             return
 
-        seen: Dict[Tuple[int, ...], int] = {}
-        free = allowed[depth] & ~used
-        for c in range(k):
-            if (free >> c) & 1 and fp[c] not in seen:
-                seen[fp[c]] = c
         cands = []
-        for c in seen.values():
+        free = allowed[depth] & ~used
+        seen = 0
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
+            if (seen >> cls[c]) & 1:
+                continue
+            seen |= 1 << cls[c]
             hit = 0
             for x in kernel:
-                if (x >> c) & 1:
+                if x & bit:
                     hit = x
                     break
             if hit:
@@ -427,14 +452,16 @@ def _canonical_search(
             else:
                 vec = 0
                 for i, w in enumerate(rows):
-                    if (w >> c) & 1:
+                    if w & bit:
                         vec |= 1 << (r - 1 - i)
             cands.append((vec, c, hit))
-        cands.sort(key=lambda t3: (t3[0], t3[1]))
+        cands.sort()
 
         local_on_path = on_path
         explored: List[int] = []
-        orbit: List[int] = []
+        # union-find of the orbits of the automorphisms fixing the prefix
+        # pointwise, extended by each one found since it was last looked at
+        parent: List[int] = []
         n_auts = 0
         for vec, c, hit in cands:
             if best_cols is not None and local_on_path:
@@ -446,12 +473,18 @@ def _canonical_search(
             # the subtrees of two columns in one orbit of the automorphisms
             # fixing the prefix are images of each other, so they reach the
             # same matrices; one of them is enough
-            if explored and auts:
-                if len(auts) != n_auts:
-                    n_auts = len(auts)
-                    orbit = _orbits(k, [a for a in auts
-                                        if all(a[p] == p for p in chosen)])
-                if any(orbit[c] == orbit[e] for e in explored):
+            if explored and len(auts) != n_auts:
+                if not parent:
+                    parent = list(range(k))
+                for a, fixed in auts[n_auts:]:
+                    if used & ~fixed == 0:
+                        for x, y in enumerate(a):
+                            if x != y:
+                                parent[_find(parent, x)] = _find(parent, y)
+                n_auts = len(auts)
+            if parent:
+                root = _find(parent, c)
+                if any(_find(parent, e) == root for e in explored):
                     continue
             if hit:
                 new_rows = [w ^ hit if (w >> c) & 1 else w for w in rows]
@@ -487,7 +520,16 @@ def _canonical_search(
     images = [0] * k
     for pos, c in enumerate(best_chosen):
         images[c] = pos
-    return BinaryCode(k, tuple(canon_gens)), tuple(images), auts + swaps
+    return (BinaryCode(k, tuple(canon_gens)), tuple(images),
+            tuple(tuple(a) for a, _ in auts) + tuple(swaps))
+
+
+def _find(parent: List[int], x: int) -> int:
+    """Root of x in a union-find forest, halving its path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _profiles(code: BinaryCode) -> List[Tuple[int, ...]]:
@@ -521,23 +563,6 @@ def _profiles(code: BinaryCode) -> List[Tuple[int, ...]]:
             for c in range(k):
                 counts[c][h] = (cols[c] & weight_h).bit_count()
     return [tuple(p) for p in counts]
-
-
-def _orbits(n: int, maps: Iterable[Sequence[int]]) -> List[int]:
-    """Orbit label of every point of range(n) under the group generated by
-    ``maps``, each a list of images of the points."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for images in maps:
-        for c in range(n):
-            parent[find(c)] = find(images[c])
-    return [find(c) for c in range(n)]
 
 
 def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
@@ -598,10 +623,13 @@ def _admissible(weights: str):
     raise ValueError(f"unknown weight rule: {weights!r} (use '4' or 'div4')")
 
 
-# Children of each canonical base under each weight rule, kept for the life
-# of the process: one entry per (class, rule), so the cache is bounded by the
-# number of classes enumerated.
-_EXTENSIONS: Dict[Tuple[BinaryCode, str], FrozenSet[BinaryCode]] = {}
+# Children of each canonical base under each weight rule, each with
+# generators of its automorphism group, kept for the life of the process:
+# one entry per (class, rule), so the cache is bounded by the number of
+# classes enumerated.
+_EXTENSIONS: Dict[
+    Tuple[BinaryCode, str], Tuple[Tuple[BinaryCode, Generators], ...]
+] = {}
 
 
 def enumerate_codes(
@@ -618,9 +646,11 @@ def enumerate_codes(
     sorted by (dimension, generator matrix).  Every class of dimension
     d + 1 is a class of dimension d plus one word, and a base is extended
     by one word per orbit of its automorphism group (see ``_extensions``).
+    Each class carries the generators of its automorphism group that the
+    search which canonicalized it returned, so no base is searched again.
     Measured reach of "div4" from a cold process on a 2-vCPU Xeon VM
-    (Python 3.11): about 0.07 s at length 13, 0.2 s at 14, 0.5 s at 15
-    and 3 s at 16, where both doubly even self-dual classes (e8 + e8 and
+    (Python 3.11): about 0.1 s at length 13, 0.35 s at 14, 0.75 s at 15
+    and 4-6 s at 16, where both doubly even self-dual classes (e8 + e8 and
     d16+) appear.
     """
     if not 1 <= length <= MAX_LENGTH:
@@ -630,11 +660,12 @@ def enumerate_codes(
     ok = _admissible(weights)
 
     pool: Optional[List[int]] = None
-    levels: Dict[int, List[BinaryCode]] = {0: [zero_code(length)]}
-    current = levels[0]
+    zero = zero_code(length)
+    levels: Dict[int, List[BinaryCode]] = {0: [zero]}
+    current = [(zero, _canonical_search(zero)[2])]
     for d in range(dim_max):
-        found = set()
-        for base in current:
+        found: Dict[BinaryCode, Generators] = {}
+        for base, generators in current:
             children = _EXTENSIONS.get((base, weights))
             if children is None:
                 if pool is None:
@@ -644,13 +675,14 @@ def enumerate_codes(
                         if ok(h)
                         for supp in combinations(range(length), h)
                     ]
-                children = _extensions(base, ok, pool)
+                children = _extensions(base, generators, ok, pool)
                 _EXTENSIONS[base, weights] = children
-            found |= children
+            for child, auts in children:
+                found.setdefault(child, auts)
         if not found:
             break
-        current = sorted(found, key=lambda c: c.generators)
-        levels[d + 1] = current
+        current = sorted(found.items(), key=lambda item: item[0].generators)
+        levels[d + 1] = [child for child, _ in current]
 
     out: List[BinaryCode] = []
     for d in range(dim_min, dim_max + 1):
@@ -659,10 +691,11 @@ def enumerate_codes(
 
 
 def _extensions(
-    base: BinaryCode, ok, pool: List[int]
-) -> FrozenSet[BinaryCode]:
+    base: BinaryCode, generators: Generators, ok, pool: List[int]
+) -> Tuple[Tuple[BinaryCode, Generators], ...]:
     """Canonical forms of the codes spanned by ``base`` and one word of
-    ``pool`` whose nonzero weights all pass ``ok``.
+    ``pool`` whose nonzero weights all pass ``ok``, each with generators of
+    its automorphism group; ``generators`` generate Aut(base).
 
     The new span depends only on the coset w + base, so each coset is named
     by its word with the base's pivot bits cleared.  An automorphism σ of
@@ -685,32 +718,51 @@ def _extensions(
         x = coset(w)
         if x and x not in verdict:
             verdict[x] = all(ok((x ^ c).bit_count()) for c in span)
-    cosets = [x for x, good in verdict.items() if good]
-    if not cosets:
-        return frozenset()
 
-    slot = {x: i for i, x in enumerate(cosets)}
-    maps = []
-    for perm in _canonical_search(base)[2]:
-        # the coset map is linear and the cosets' words avoid the pivot
-        # columns, so only the moved coordinates change a word
-        moved = [(1 << c, (1 << c) ^ coset(1 << perm[c]))
-                 for c in range(k) if perm[c] != c]
-        images = []
-        for x in cosets:
-            y = x
-            for bit, delta in moved:
-                if x & bit:
-                    y ^= delta
-            images.append(slot[y])
-        maps.append(images)
-    first: Dict[int, int] = {}
-    for x, label in sorted(zip(cosets, _orbits(len(cosets), maps))):
-        first.setdefault(label, x)
-    return frozenset(
-        canonical_form(BinaryCode(k, _rref(gens + (x,))))[0]
-        for x in first.values()
-    )
+    # the coset map of a generator is linear and the cosets' words avoid
+    # the pivot columns, so only the moved coordinates change a word
+    maps = [
+        [(1 << c, (1 << c) ^ coset(1 << perm[c]))
+         for c in range(k) if perm[c] != c]
+        for perm in generators
+    ]
+    reached = set()
+    children: Dict[BinaryCode, Generators] = {}
+    for x in sorted(x for x, good in verdict.items() if good):
+        if x in reached:
+            continue
+        # x is the smallest admissible coset of its orbit: walk the orbit
+        reached.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for moved in maps:
+                z = y
+                for bit, delta in moved:
+                    if y & bit:
+                        z ^= delta
+                if z not in reached:
+                    reached.add(z)
+                    stack.append(z)
+        # the child is searched through the module attribute, where a
+        # tracer can count it; its automorphisms then come from the same
+        # cache entry, and the witness carries them onto the canonical form
+        child = BinaryCode(k, _rref(gens + (x,)))
+        canon, images = canonical_form(child)
+        if canon not in children:
+            children[canon] = tuple(
+                _conjugate(a, images) for a in _canonical_search(child)[2]
+            )
+    return tuple(children.items())
+
+
+def _conjugate(aut: Sequence[int], images: Sequence[int]) -> Tuple[int, ...]:
+    """The automorphism ``aut`` of a code, carried onto
+    ``permute(code, images)``: it sends images[c] to images[aut[c]]."""
+    out = [0] * len(images)
+    for c, a in enumerate(aut):
+        out[images[c]] = images[a]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,7 @@ def test_canonical_form_high_symmetry_within_budget(name):
     forms = []
     for c in (code, permute(code, images)):
         start = time.perf_counter()  # uncached, so the search is timed
-        canon, witness = canonical_form.__wrapped__(c)
+        canon, witness = gf2._canonical_search.__wrapped__(c)[:2]
         assert time.perf_counter() - start < 2.0, name
         assert permute(c, witness) == canon
         forms.append(canon)
@@ -334,7 +334,7 @@ def assert_forms_within_budget(rng, code):
     forms = []
     for c in (code, permute(code, images)):
         with within(0.5):  # uncached, so the search is timed
-            canon, witness = canonical_form.__wrapped__(c)
+            canon, witness = gf2._canonical_search.__wrapped__(c)[:2]
         assert permute(c, witness) == canon
         forms.append(canon)
     assert forms[0] == forms[1], code
@@ -587,11 +587,60 @@ def test_enumerate_length_13_within_budget(monkeypatch):
     # child took about 2 s on a 2-vCPU Xeon VM, one search per orbit about
     # 0.25 s
     monkeypatch.setattr(gf2, "_EXTENSIONS", {})
-    canonical_form.cache_clear()
+    gf2._canonical_search.cache_clear()
     with within(1.0):
         classes = enumerate_codes(13, "div4", 1, 13)
     assert len(classes) == 28
     assert max(c.dim for c in classes) == 5
+
+
+@pytest.mark.parametrize("weights", ["4", "div4"])
+def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
+    # a class's generators come from the search of the child that found it,
+    # carried onto the class by the witness; they must still generate the
+    # class's whole automorphism group, or orbits of cosets are split wrongly
+    monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+    for length in range(1, 10):
+        classes = enumerate_codes(length, weights, 1, length)
+        carried = {}
+        for (base, _), children in gf2._EXTENSIONS.items():
+            if base.length == length:
+                for cls, generators in children:
+                    carried.setdefault(cls, []).append(generators)
+        assert set(carried) == set(classes), length
+        for cls, generator_sets in carried.items():
+            order = group_order(length, gf2._canonical_search(cls)[2])
+            for generators in generator_sets:
+                for g in generators:
+                    assert permute(cls, g) == cls, cls
+                assert group_order(length, generators) == order, cls
+
+
+def test_enumeration_searches_no_base_twice(monkeypatch):
+    # a base's automorphisms come from the search that found its class, so
+    # every search is of a code that was canonicalized, not of the base again
+    monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+    gf2._canonical_search.cache_clear()
+    form, search = gf2.canonical_form, gf2._canonical_search
+    formed, unformed, high_rate = set(), [], set()
+
+    def counting_form(code):
+        formed.add(code)
+        return form(code)
+
+    def counting_search(code):
+        # the zero code starts the enumeration, and a code of rate above
+        # 1/2 is searched as its dual
+        if code not in formed and code.dim and code not in high_rate:
+            unformed.append(code)
+        if 2 * code.dim > code.length:
+            high_rate.add(gf2._dual(code))
+        return search(code)
+
+    monkeypatch.setattr(gf2, "canonical_form", counting_form)
+    monkeypatch.setattr(gf2, "_canonical_search", counting_search)
+    enumerate_codes(13, "div4", 1, 13)
+    assert formed and unformed == []
 
 
 def gray_weights(code):
