@@ -414,17 +414,23 @@ def fiber_budget(
         raise ValueError(
             f"nodes_required must be non-negative: {nodes_required}"
         )
-    # capacities sum to exactly nodes_required, which caps each count
+    # capacities sum to exactly nodes_required, which caps each count; the
+    # first type has capacity 1, so its count is what the others leave over
+    rest = FIBER_TYPES[1:]
     ranges = [
         range(min(total_euler // f.euler,
                   nodes_required // f.nodal_capacity) + 1)
-        for f in FIBER_TYPES
+        for f in rest
     ]
     out = []
-    for counts in product(*ranges):
+    for others in product(*ranges):
+        first = nodes_required - sum(
+            c * f.nodal_capacity for c, f in zip(others, rest))
+        if first < 0:
+            continue
+        counts = (first,) + others
         euler = sum(c * f.euler for c, f in zip(counts, FIBER_TYPES))
-        cap = sum(c * f.nodal_capacity for c, f in zip(counts, FIBER_TYPES))
-        if euler <= total_euler and cap == nodes_required:
+        if euler <= total_euler:
             ms = tuple(
                 f for c, f in zip(counts, FIBER_TYPES) for _ in range(c)
             )

@@ -1,6 +1,7 @@
 import json
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from helpers import brute_weight4_codes, within
@@ -180,6 +181,35 @@ def test_fiber_budget_cost_does_not_grow_with_euler():
     # budget admits nothing new; the search must not loop over it
     with within(1.0):
         assert fiber_budget(10**6, 8) == fiber_budget(24, 8)
+
+
+def brute_fiber_budget(total_euler, nodes_required):
+    # every count of every type that fits the Euler budget on its own, with
+    # no count solved for
+    out = []
+    for counts in product(*(range(total_euler // f.euler + 1)
+                            for f in FIBER_TYPES)):
+        euler = sum(c * f.euler for c, f in zip(counts, FIBER_TYPES))
+        cap = sum(c * f.nodal_capacity for c, f in zip(counts, FIBER_TYPES))
+        if euler <= total_euler and cap == nodes_required:
+            out.append(tuple(
+                f for c, f in zip(counts, FIBER_TYPES) for _ in range(c)))
+    return tuple(sorted(out, key=lambda ms: tuple(f.kind for f in ms)))
+
+
+def test_fiber_budget_matches_brute_product():
+    for total_euler in range(41):
+        for nodes_required in range(13):
+            assert fiber_budget(total_euler, nodes_required) == \
+                brute_fiber_budget(total_euler, nodes_required), \
+                (total_euler, nodes_required)
+
+
+def test_fiber_budget_cost_is_quadratic():
+    # 5,151 multisets; looping over all three counts took about 4 s on a
+    # 2-vCPU Xeon VM
+    with within(1.0):
+        assert len(fiber_budget(600, 200)) == 5151
 
 
 def test_fiber_types_table():
