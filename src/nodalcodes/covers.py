@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
 from typing import Optional, Tuple
 
 KODAIRA = ("minus_infinity", "zero", "one", "two", "unknown")
@@ -182,7 +181,7 @@ def min_m_for_r(r: int) -> int:
     """
     if r < 1:
         raise ValueError(f"r must be positive: {r}")
-    return ceil(Fraction(8 * (2 ** r - 1), 2 ** r))
+    return -(-8 * (2 ** r - 1) // 2 ** r)
 
 
 def isotropic_bound(k: int, rho: int) -> int:
