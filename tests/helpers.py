@@ -1,4 +1,4 @@
-"""Helpers shared by the test modules: a time budget and a raw code search."""
+"""Helpers shared by the test modules: a time budget and raw code searches."""
 
 import signal
 from contextlib import contextmanager
@@ -51,3 +51,28 @@ def brute_weight4_codes(length):
     for i, w in enumerate(pool):
         grow({0, w}, i + 1)
     return set(found.values())
+
+
+def count_admissible_subspaces(length, weights):
+    """Number of subspaces of GF(2)^length, per dimension, whose nonzero
+    words all have weight 4 (weights "4") or a weight divisible by 4
+    ("div4").  Each subspace of dimension d + 1 is grown from one of
+    dimension d by a word whose coset passes the rule, and subspaces are
+    told apart by their sets of words, with no canonical forms.
+    """
+    def ok(h):
+        return h == 4 if weights == "4" else h % 4 == 0
+
+    pool = [w for w in range(1, 1 << length) if ok(bin(w).count("1"))]
+    counts = {}
+    level = {frozenset([0])}
+    while level:
+        counts[len(counts)] = len(level)
+        grown = set()
+        for span in level:
+            for w in pool:
+                if w not in span and all(ok(bin(w ^ c).count("1"))
+                                         for c in span):
+                    grown.add(span | {w ^ c for c in span})
+        level = grown
+    return counts

@@ -2,11 +2,11 @@ import json
 import random
 import time
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
-from helpers import within
+from helpers import count_admissible_subspaces, within
 
 from nodalcodes import gf2
 from nodalcodes.gf2 import (
@@ -605,7 +605,7 @@ def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
         carried = {}
         for (base, _), children in gf2._EXTENSIONS.items():
             if base.length == length:
-                for cls, generators in children:
+                for cls, generators, _ in children:
                     carried.setdefault(cls, []).append(generators)
         assert set(carried) == set(classes), length
         for cls, generator_sets in carried.items():
@@ -614,6 +614,75 @@ def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
                 for g in generators:
                     assert permute(cls, g) == cls, cls
                 assert group_order(length, generators) == order, cls
+
+
+def brute_cosets(code, weights):
+    # every word outside the code whose whole coset passes the rule, named
+    # by the word with the code's pivot bits cleared
+    def ok(h):
+        return h == 4 if weights == "4" else h % 4 == 0
+
+    span = codewords(code)
+    out = set()
+    for w in range(1, 1 << code.length):
+        if not contains(code, w) and all(ok(bin(w ^ c).count("1"))
+                                         for c in span):
+            for g in code.generators:
+                if w & g & -g:
+                    w ^= g
+            out.add(w)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("weights", ["4", "div4"])
+def test_enumeration_cosets_match_span_test(monkeypatch, weights):
+    # each class is extended with the cosets it inherited from its parent;
+    # they must be exactly those a test against the class's whole span finds
+    monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+    extend = gf2._extensions
+    given = {}
+
+    def recording(base, generators, cosets, known):
+        given[base] = list(cosets)
+        return extend(base, generators, cosets, known)
+
+    monkeypatch.setattr(gf2, "_extensions", recording)
+    for length in range(1, 11):
+        classes = enumerate_codes(length, weights, 0, length)
+        assert set(classes) <= set(given), length
+        for cls in classes:
+            assert given[cls] == brute_cosets(cls, weights), cls
+
+
+@pytest.mark.parametrize("weights", ["4", "div4"])
+def test_enumeration_resumes_from_a_cached_frontier(monkeypatch, weights):
+    # a shallow enumeration leaves classes whose children are not cached;
+    # a deeper one must find their cosets, held once per class, and drop
+    # every class's cosets once its children are cached
+    for length in range(1, 13):
+        monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+        cold = enumerate_codes(length, weights, 1, length)
+        monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+        shallow = enumerate_codes(length, weights, 1, 2)
+        held = [cls for children in gf2._EXTENSIONS.values()
+                for cls, _, cosets in children if cosets is not None]
+        assert sorted(held, key=lambda c: c.generators) == \
+            [cls for cls in shallow if cls.dim == 2], length
+        assert enumerate_codes(length, weights, 1, length) == cold, length
+        assert all(cosets is None for children in gf2._EXTENSIONS.values()
+                   for _, _, cosets in children), length
+
+
+@pytest.mark.parametrize("weights", ["4", "div4"])
+def test_enumeration_matches_mass_formula(weights):
+    # the sum of n!/|Aut(C)| over the classes of a dimension counts every
+    # admissible subspace of it, which a span-growth search counts directly
+    for n in range(1, 9):
+        masses = {}
+        for cls in enumerate_codes(n, weights, 0, n):
+            order = group_order(n, gf2._canonical_search(cls)[2])
+            masses[cls.dim] = masses.get(cls.dim, 0) + factorial(n) // order
+        assert masses == count_admissible_subspaces(n, weights), n
 
 
 def test_enumeration_searches_no_base_twice(monkeypatch):
