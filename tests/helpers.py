@@ -23,51 +23,20 @@ def within(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
-def brute_weight4_codes(length):
-    """Every linear code of the given length whose nonzero words all have
-    weight 4, found by growing generator sets word by word.  Returns a set
-    of (dim, support_size) pairs keyed by the span itself, with no help
-    from the library's canonical-form machinery.
-    """
-    pool = [w for w in range(1, 1 << length) if bin(w).count("1") == 4]
-    found = {}
-
-    def grow(span, start):
-        key = frozenset(span)
-        if key in found:
-            return
-        dim = len(span).bit_length() - 1
-        support = 0
-        for w in span:
-            support |= w
-        found[key] = (dim, bin(support).count("1"))
-        for i in range(start, len(pool)):
-            w = pool[i]
-            if w in span:
-                continue
-            if all(bin(w ^ c).count("1") == 4 for c in span if w ^ c):
-                grow(span | {w ^ c for c in span}, i + 1)
-
-    for i, w in enumerate(pool):
-        grow({0, w}, i + 1)
-    return set(found.values())
-
-
-def count_admissible_subspaces(length, weights):
-    """Number of subspaces of GF(2)^length, per dimension, whose nonzero
-    words all have weight 4 (weights "4") or a weight divisible by 4
-    ("div4").  Each subspace of dimension d + 1 is grown from one of
-    dimension d by a word whose coset passes the rule, and subspaces are
-    told apart by their sets of words, with no canonical forms.
+def admissible_subspaces(length, weights):
+    """Every subspace of GF(2)^length whose nonzero words all have weight 4
+    (weights "4") or a weight divisible by 4 ("div4"), each as the set of
+    its words.  Each subspace of dimension d + 1 is grown from one of
+    dimension d by a word whose coset passes the rule, with no help from
+    the library's canonical-form machinery.
     """
     def ok(h):
         return h == 4 if weights == "4" else h % 4 == 0
 
     pool = [w for w in range(1, 1 << length) if ok(bin(w).count("1"))]
-    counts = {}
-    level = {frozenset([0])}
+    found, level = set(), {frozenset([0])}
     while level:
-        counts[len(counts)] = len(level)
+        found |= level
         grown = set()
         for span in level:
             for w in pool:
@@ -75,4 +44,17 @@ def count_admissible_subspaces(length, weights):
                                          for c in span):
                     grown.add(span | {w ^ c for c in span})
         level = grown
-    return counts
+    return found
+
+
+def brute_weight4_codes(length):
+    """(dim, support size) of every nonzero code of the given length whose
+    nonzero words all have weight 4."""
+    out = set()
+    for span in admissible_subspaces(length, "4"):
+        if len(span) > 1:
+            support = 0
+            for w in span:
+                support |= w
+            out.add((len(span).bit_length() - 1, bin(support).count("1")))
+    return out
