@@ -7,10 +7,27 @@ lattices  integral lattices from codes, root systems, discriminants
 covers    numerical invariants of iterated double covers and node bounds
 classify  involution and fibration case analysis built on the above
 cli       JSON-report command line front end
+
+Each layer is imported on first access (PEP 562), so `nodalcodes.gf2` and
+`from nodalcodes import gf2` work while a CLI request loads only the
+layers its subcommand calls.
 """
 
-from . import classify, covers, gf2, lattices
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["gf2", "lattices", "covers", "classify", "__version__"]
+_LAYERS = ("gf2", "lattices", "covers", "classify")
+
+__all__ = [*_LAYERS, "__version__"]
+
+# the choices of two CLI options, defined here so that building the parser
+# loads no layer; lattices and covers re-export them under these names
+SCALINGS = ("unscaled", "half")
+KODAIRA = ("minus_infinity", "zero", "one", "two", "unknown")
+
+
+def __getattr__(name: str):
+    if name in _LAYERS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,13 +14,13 @@ steps that the CLI serializes verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
-from .covers import isotropic_bound, min_m_for_r
+from .covers import Step, isotropic_bound, min_m_for_r
 from .gf2 import BinaryCode, de, enumerate_codes, reduce
 
 __all__ = [
@@ -44,15 +44,6 @@ __all__ = [
     "small_rho_cases",
     "standard_example_invariants",
 ]
-
-
-@dataclass(frozen=True)
-class Step:
-    """One link of a derivation chain, serialized into CLI reports."""
-
-    claim: str
-    reference: str
-    values: Dict[str, object] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

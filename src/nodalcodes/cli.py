@@ -34,28 +34,26 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from . import __version__, covers, gf2, lattices
-from .classify import (
-    Step,
-    classify_involution,
-    feasible_kr_pairs,
-    fiber_budget,
-    saturated_node_sweep,
-    small_rho_cases,
-    solve_md,
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
 )
+
+from . import KODAIRA, SCALINGS, __version__
+
+if TYPE_CHECKING:
+    from .covers import Step
+    from .gf2 import BinaryCode
 
 __all__ = ["run", "main"]
 
 # what a handler returns: outputs, derivation, status
-Result = Tuple[Dict[str, object], List[Step], str]
+Result = Tuple[Dict[str, object], List["Step"], str]
 Handler = Callable[[argparse.Namespace], Result]
 
 # "group leaf" -> (handler, help, add_argument parameters), in --help order.
-# Handlers reach library functions through this module's globals at call
-# time, so a tracer that rebinds those names sees every call.
+# Each handler imports the layer it calls when it runs, so a request loads
+# only those layers, and reaches library functions as attributes of the
+# layer module, so a tracer that rebinds them there sees every call.
 _COMMANDS: Dict[str, Tuple[Handler, str, tuple]] = {}
 
 
@@ -92,7 +90,9 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _code_dict(code: gf2.BinaryCode) -> Dict[str, object]:
+def _code_dict(code: BinaryCode) -> Dict[str, object]:
+    from . import gf2
+
     return {
         "length": code.length,
         "dim": code.dim,
@@ -105,11 +105,13 @@ def _code_dict(code: gf2.BinaryCode) -> Dict[str, object]:
     }
 
 
-def _load_code(path: str) -> gf2.BinaryCode:
+def _load_code(path: str) -> BinaryCode:
+    from . import gf2
+
     return gf2.parse_code(Path(path).read_text())
 
 
-def _cache_lines(codes: Sequence[gf2.BinaryCode]) -> List[str]:
+def _cache_lines(codes: Sequence[BinaryCode]) -> List[str]:
     return [
         json.dumps(_code_dict(c), sort_keys=True, separators=(",", ":"))
         for c in codes
@@ -131,6 +133,8 @@ def _cache_stamp(count: int) -> str:
 def _read_cache(path: Path, args: argparse.Namespace) -> Optional[List[str]]:
     """The code lines of a cache file this version wrote for these
     arguments, or None if the file is missing, stale or fails a check."""
+    from . import gf2
+
     try:
         stamp, *lines = path.read_text().splitlines()
         if stamp != _cache_stamp(len(lines)):
@@ -174,6 +178,8 @@ def _write_cache(path: Path, lines: List[str]) -> None:
           "weights, evenness, reduction and recognition of a code",
           _arg("file"))
 def _code_analyze(args: argparse.Namespace) -> Result:
+    from . import gf2
+
     code = _load_code(args.file)
     reduced, support = gf2.reduce(code)
     outputs = {
@@ -190,12 +196,16 @@ def _code_analyze(args: argparse.Namespace) -> Result:
 @_command("code de", "the doubled even-weight code on 2n coordinates",
           _arg("n", type=int))
 def _code_de(args: argparse.Namespace) -> Result:
+    from . import gf2
+
     return _code_dict(gf2.de(args.n)), [], "ok"
 
 
 @_command("code equiv", "decide coordinate-permutation equivalence",
           _arg("a"), _arg("b"))
 def _code_equiv(args: argparse.Namespace) -> Result:
+    from . import gf2
+
     a = _load_code(args.a)
     b = _load_code(args.b)
     perm = gf2.equivalent(a, b)
@@ -216,6 +226,8 @@ def _code_equiv(args: argparse.Namespace) -> Result:
           _arg("--cache", default=None,
                help="directory for the JSONL result cache"))
 def _code_enumerate(args: argparse.Namespace) -> Result:
+    from . import gf2
+
     cache_file: Optional[Path] = None
     lines: Optional[List[str]] = None
     if args.cache:
@@ -243,16 +255,20 @@ def _code_enumerate(args: argparse.Namespace) -> Result:
 @_command("code recognize-de",
           "is the reduced code a doubled even-weight code?", _arg("file"))
 def _code_recognize_de(args: argparse.Namespace) -> Result:
+    from . import gf2
+
     n = gf2.recognize_de(_load_code(args.file))
     return {"n": n, "essentially_de": n is not None}, [], "ok"
 
 
 @_command("lattice build", "Construction-A lattice of a code",
           _arg("code_file"),
-          _arg("--scaling", choices=lattices.SCALINGS, required=True),
+          _arg("--scaling", choices=SCALINGS, required=True),
           _arg("--out", default=None,
                help="also write the lattice JSON to this file"))
 def _lattice_build(args: argparse.Namespace) -> Result:
+    from . import lattices
+
     code = _load_code(args.code_file)
     lat = lattices.construction_a(code, args.scaling)
     text = lattices.lattice_to_json(lat)
@@ -266,6 +282,8 @@ def _lattice_build(args: argparse.Namespace) -> Result:
 @_command("lattice identify", "root system type and discriminant",
           _arg("file"))
 def _lattice_identify(args: argparse.Namespace) -> Result:
+    from . import lattices
+
     lat = lattices.lattice_from_json(Path(args.file).read_text())
     outputs = {**asdict(lattices.identify_root_system(lat)),
                "discriminant": str(lattices.discriminant(lat))}
@@ -279,8 +297,10 @@ def _lattice_identify(args: argparse.Namespace) -> Result:
           _arg("--c2", type=int, default=None),
           _arg("--r", type=int, required=True),
           _arg("--m", type=int, required=True),
-          _arg("--kodaira", choices=covers.KODAIRA, default="unknown"))
+          _arg("--kodaira", choices=KODAIRA, default="unknown"))
 def _cover_invariants(args: argparse.Namespace) -> Result:
+    from . import covers
+
     base = covers.SurfaceInvariants(
         chi=args.chi, K2=args.k2, c2=args.c2, kodaira=args.kodaira
     )
@@ -288,13 +308,13 @@ def _cover_invariants(args: argparse.Namespace) -> Result:
         base, covers.CoverSpec(r=args.r, m=args.m)
     )
     steps = [
-        Step(
+        covers.Step(
             "chi and K^2 of the smooth cover branched on the m nodal "
             "curves follow from the degree-2^r formulas",
             "cover invariant formulas",
             {"chi": result.cover.chi, "K2": result.cover.K2},
         ),
-        Step(
+        covers.Step(
             "contracting the preimages of the branch curves blows down "
             "m * 2^(r-1) exceptional curves",
             "branch preimage count",
@@ -315,9 +335,11 @@ def _cover_invariants(args: argparse.Namespace) -> Result:
           _arg("--k", type=int, required=True),
           _arg("--rho", type=int, required=True))
 def _bound_isotropic(args: argparse.Namespace) -> Result:
+    from . import covers
+
     bound = covers.isotropic_bound(args.k, args.rho)
     steps = [
-        Step(
+        covers.Step(
             "an isotropic subspace of a rank-rho quadratic space has "
             "dimension at most rho // 2, so the code rank is at least "
             "k - rho // 2",
@@ -333,10 +355,12 @@ def _bound_isotropic(args: argparse.Namespace) -> Result:
           _arg("--k2", type=int, required=True),
           _arg("--c2", type=int, required=True))
 def _bound_miyaoka(args: argparse.Namespace) -> Result:
+    from . import covers
+
     nb = covers.miyaoka_max_nodes(args.k2, args.c2)
     outputs = {"max_nodes": nb.max_nodes, "assumptions": list(nb.assumptions)}
     steps = [
-        Step(
+        covers.Step(
             "the number of nodes is at most 2(3 c2 - K^2)/9",
             "orbifold Bogomolov-Miyaoka-Yau inequality",
             {"k2": args.k2, "c2": args.c2, "max_nodes": nb.max_nodes},
@@ -349,9 +373,11 @@ def _bound_miyaoka(args: argparse.Namespace) -> Result:
           "minimum number of curves in the support at rank r",
           _arg("--r", type=int, required=True))
 def _bound_min_m(args: argparse.Namespace) -> Result:
+    from . import covers
+
     value = covers.min_m_for_r(args.r)
     steps = [
-        Step(
+        covers.Step(
             "each of the m covered coordinates lies in 2^(r-1) words and "
             "each of the 2^r - 1 nonzero words has weight >= 4, so "
             "m >= 8 (2^r - 1) / 2^r",
@@ -366,7 +392,9 @@ def _bound_min_m(args: argparse.Namespace) -> Result:
           "case table for an involution with p_g = 0 and K^2 = 8 or 9",
           _arg("--k2", type=int, choices=(8, 9), required=True))
 def _classify_involution(args: argparse.Namespace) -> Result:
-    cases = classify_involution(args.k2)
+    from . import classify
+
+    cases = classify.classify_involution(args.k2)
     steps = [s for case in cases for s in case.derivation]
     status = (
         "contradiction"
@@ -381,9 +409,11 @@ def _classify_involution(args: argparse.Namespace) -> Result:
           _arg("--euler", type=int, required=True),
           _arg("--nodes", type=int, required=True))
 def _classify_fibers(args: argparse.Namespace) -> Result:
-    multisets = fiber_budget(args.euler, args.nodes)
+    from . import classify
+
+    multisets = classify.fiber_budget(args.euler, args.nodes)
     steps = [
-        Step(
+        classify.Step(
             "fiber Euler numbers sum to at most the total while nodal "
             "capacities sum to exactly the required nodes",
             "Euler number budget of a relatively minimal elliptic "
@@ -402,9 +432,11 @@ def _classify_fibers(args: argparse.Namespace) -> Result:
 @_command("classify kr-pairs",
           "feasible (k, r, m) triples for k = rho - 2 nodal curves")
 def _classify_kr_pairs(args: argparse.Namespace) -> Result:
-    pairs = [list(p) for p in sorted(feasible_kr_pairs())]
+    from . import classify
+
+    pairs = [list(p) for p in sorted(classify.feasible_kr_pairs())]
     steps = [
-        Step(
+        classify.Step(
             "exhaustive enumeration of all-weight-4 codes of length "
             "k = rho - 2 for 5 <= rho <= 10 under the isotropic rank "
             "bound and m < 8",
@@ -419,9 +451,11 @@ def _classify_kr_pairs(args: argparse.Namespace) -> Result:
           "feasibility of k = rho - 1 nodal curves on a rational surface",
           _arg("--rho", type=int, required=True))
 def _classify_thm_mt(args: argparse.Namespace) -> Result:
-    row = saturated_node_sweep(args.rho)
+    from . import classify
+
+    row = classify.saturated_node_sweep(args.rho)
     steps = [
-        Step(
+        classify.Step(
             f"k = rho - 1 = {row.k} disjoint nodal curves on a rational "
             f"surface with rho = {row.rho}: {row.tag}",
             "saturated node sweep",
@@ -436,14 +470,19 @@ def _classify_thm_mt(args: argparse.Namespace) -> Result:
           "surfaces with k = rho - 2 nodal curves for rho <= 4",
           _arg("--rho", type=int, required=True))
 def _classify_small_rho(args: argparse.Namespace) -> Result:
-    return {"cases": [asdict(c) for c in small_rho_cases(args.rho)]}, [], "ok"
+    from . import classify
+
+    cases = classify.small_rho_cases(args.rho)
+    return {"cases": [asdict(c) for c in cases]}, [], "ok"
 
 
 @_command("solve md", "positive solutions of d m = m + 2 d")
 def _solve_md(args: argparse.Namespace) -> Result:
-    sols = solve_md()
+    from . import classify
+
+    sols = classify.solve_md()
     steps = [
-        Step(
+        classify.Step(
             "d m = m + 2 d rewrites as (d - 1)(m - 2) = 2; the two "
             "factorizations of 2 give all positive solutions",
             "pencil Diophantine equation",

@@ -11,7 +11,7 @@ Euler invariants of both are determined by (chi(Y), K_Y^2, c_2(Y), r, m):
     K_Zbar^2  = 2^r K_Y^2
     chi(Z)    = chi(Zbar) = 2^r chi(Y) - m 2^(r-3)
 
-chi is computed as an exact rational and must come out integral, which for
+8 chi is computed as an integer and chi must come out integral, which for
 r = 1 forces m = 0 mod 4 and for r = 2 forces m even; from r = 3 on every m
 is allowed.  The Kodaira dimension is unchanged by an etale-in-codimension-1
 cover, so it is copied from Y to both outputs.
@@ -25,13 +25,14 @@ node count of a double cover forced by its chi drop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Tuple
+from math import gcd
+from typing import Dict, Optional, Tuple
 
-KODAIRA = ("minus_infinity", "zero", "one", "two", "unknown")
+from . import KODAIRA
 
 __all__ = [
     "KODAIRA",
+    "Step",
     "SurfaceInvariants",
     "CoverSpec",
     "CoverResult",
@@ -42,6 +43,15 @@ __all__ = [
     "isotropic_bound",
     "miyaoka_max_nodes",
 ]
+
+
+@dataclass(frozen=True)
+class Step:
+    """One link of a derivation chain, serialized into CLI reports."""
+
+    claim: str
+    reference: str
+    values: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -121,13 +131,15 @@ def cover_invariants(y: SurfaceInvariants, spec: CoverSpec) -> CoverResult:
     ruled out for the stated Kodaira dimension.
     """
     r, m = spec.r, spec.m
-    chi = 2 ** r * y.chi - Fraction(m * 2 ** r, 8)
-    if chi.denominator != 1:
+    eight_chi = 2 ** r * (8 * y.chi - m)
+    if eight_chi % 8:
+        g = gcd(eight_chi, 8)
+        # only r = 1 and r = 2 can get here
         raise ValueError(
-            f"chi = {chi} is not integral: r = {r} requires m "
-            f"{'divisible by 4' if r == 1 else 'even' if r == 2 else 'integral'}"
+            f"chi = {eight_chi // g}/{8 // g} is not integral: r = {r} "
+            f"requires m {'divisible by 4' if r == 1 else 'even'}"
         )
-    chi = int(chi)
+    chi = eight_chi // 8
     k2_cover = 2 ** r * y.K2 - (m * 2 ** (r - 1) if r else 0)
     c2_cover = 2 ** r * y.c2 - m * 2 ** r
     k2_down = 2 ** r * y.K2

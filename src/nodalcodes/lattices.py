@@ -19,11 +19,10 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import List, Sequence, Tuple
 
+from . import SCALINGS
 from .gf2 import BinaryCode, is_doubly_even, is_even
 
 MAX_ROOT_RANK = 16
-
-SCALINGS = ("unscaled", "half")
 
 __all__ = [
     "MAX_ROOT_RANK",

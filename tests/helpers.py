@@ -1,7 +1,14 @@
-"""Helpers shared by the test modules: a time budget and raw code searches."""
+"""Helpers shared by the test modules: a time budget, a fresh interpreter
+and raw code searches."""
 
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
+
+import nodalcodes
 
 
 @contextmanager
@@ -21,6 +28,18 @@ def within(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+def fresh_python(*argv, cwd=None):
+    """Run python with argv in a new process that finds the package these
+    tests import, with warnings as errors."""
+    src = str(Path(nodalcodes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=60,
+    )
 
 
 def admissible_subspaces(length, weights):

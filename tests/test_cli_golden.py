@@ -4,6 +4,10 @@ Each case runs its argv lists in order in one fresh directory holding the
 FILES below, with relative file names, and compares every run's exit code
 and standard output with ``tests/golden/cli/<case>.json``.  Rewrite the goldens with
 ``python tests/test_cli_golden.py`` and read the diff before committing.
+
+One case per command group also runs as ``python -m nodalcodes.cli`` in a
+fresh process, which must print the same bytes and load only the layers
+that group's handlers call.
 """
 
 import contextlib
@@ -14,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import fresh_python
 from nodalcodes.cli import _COMMANDS, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
@@ -111,6 +116,57 @@ def test_goldens_cover_every_command():
         if json.loads(r["stdout"])["status"] == "ok"
     }
     assert pinned == set(_COMMANDS)
+
+
+# one case per command group, with the nodalcodes modules its request loads
+# and whether it loads fractions
+FRESH = {
+    "code-de": ({"cli", "gf2"}, False),
+    "lattice-build": ({"cli", "gf2", "lattices"}, True),
+    "cover-invariants": ({"cli", "covers"}, False),
+    "bound-min-m": ({"cli", "covers"}, False),
+    "classify-fibers": ({"cli", "classify", "covers", "gf2"}, True),
+    "solve-md": ({"cli", "classify", "covers", "gf2"}, True),
+}
+
+# runs cli.run on argv, discards its report and prints the modules it loaded
+LOADED = """
+import contextlib, io, json, sys
+from nodalcodes import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.run(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("nodalcodes", "fractions"))))
+"""
+
+
+def fresh(case, workdir, *runner):
+    """A one-run case's argv, run by python with the runner in workdir."""
+    for name, text in FILES.items():
+        (workdir / name).write_text(text)
+    (argv,) = CASES[case]
+    return fresh_python(*runner, *argv, cwd=workdir)
+
+
+@pytest.mark.parametrize("case", sorted(FRESH))
+def test_fresh_process_matches_golden(case, tmp_path):
+    # warnings are errors, so this also fails on runpy's "found in
+    # sys.modules" warning, raised when importing the package has already
+    # imported nodalcodes.cli
+    (golden,) = json.loads((GOLDEN / f"{case}.json").read_text())
+    proc = fresh(case, tmp_path, "-m", "nodalcodes.cli")
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (golden["exit"], golden["stdout"], "")
+
+
+@pytest.mark.parametrize("case", sorted(FRESH))
+def test_request_loads_only_its_layers(case, tmp_path):
+    layers, fractions = FRESH[case]
+    proc = fresh(case, tmp_path, "-c", LOADED)
+    assert proc.stderr == ""
+    loaded = set(json.loads(proc.stdout))
+    assert loaded == ({"nodalcodes"} | {f"nodalcodes.{m}" for m in layers}
+                      | ({"fractions"} if fractions else set()))
 
 
 if __name__ == "__main__":

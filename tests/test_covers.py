@@ -72,6 +72,24 @@ def test_cover_chi_integrality():
     assert cover_invariants(y, CoverSpec(r=3, m=5)).cover.chi == 3
 
 
+@pytest.mark.parametrize("chi, r, m, message", [
+    (1, 1, 3, "chi = 5/4 is not integral: r = 1 requires m divisible by 4"),
+    (1, 1, 2, "chi = 3/2 is not integral: r = 1 requires m divisible by 4"),
+    (1, 2, 3, "chi = 5/2 is not integral: r = 2 requires m even"),
+    (-1, 1, 2, "chi = -5/2 is not integral: r = 1 requires m divisible "
+               "by 4"),
+    (-1, 1, 1, "chi = -9/4 is not integral: r = 1 requires m divisible "
+               "by 4"),
+    (-1, 2, 1, "chi = -9/2 is not integral: r = 2 requires m even"),
+])
+def test_cover_non_integral_chi_message(chi, r, m, message):
+    # chi = 2^r chi(Y) - m 2^(r-3), reported in lowest terms
+    y = SurfaceInvariants(chi=chi, K2=0)
+    with pytest.raises(ValueError) as info:
+        cover_invariants(y, CoverSpec(r=r, m=m))
+    assert str(info.value) == message
+
+
 def test_cover_noether_on_a_grid():
     y = SurfaceInvariants(chi=1, K2=2)
     for r in range(0, 7):

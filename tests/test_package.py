@@ -1,0 +1,53 @@
+"""The package's public names: layers imported on first access, and the
+definitions the CLI parser shares with them."""
+
+import pytest
+
+import nodalcodes
+from helpers import fresh_python
+from nodalcodes import classify, cli, covers, lattices
+
+LAYERS = ("gf2", "lattices", "covers", "classify")
+
+# in a process that has imported only the package, each way of reaching
+# the layers loads them, and binds the modules it loaded
+REACH = {
+    "attribute": "bound = {m: getattr(nodalcodes, m) for m in LAYERS}",
+    "star": "bound = {}\nexec('from nodalcodes import *', bound)\n"
+            "del bound['__builtins__']\n"
+            "assert bound.pop('__version__') == nodalcodes.__version__",
+}
+
+CHECK = """
+import sys
+import nodalcodes
+assert not {"nodalcodes." + m for m in LAYERS} & set(sys.modules)
+%s
+assert bound == {m: sys.modules["nodalcodes." + m] for m in LAYERS}, bound
+"""
+
+
+@pytest.mark.parametrize("access", sorted(REACH))
+def test_layers_load_on_first_access(access):
+    script = f"LAYERS = {LAYERS!r}\n" + CHECK % REACH[access]
+    proc = fresh_python("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="frobnicate"):
+        nodalcodes.frobnicate
+
+
+def test_step_has_one_definition():
+    assert classify.Step is covers.Step
+
+
+def test_parser_choices_are_the_layer_constants():
+    def choices(command, flag):
+        (kwargs,) = [kw for flags, kw in cli._COMMANDS[command][2]
+                     if flags == (flag,)]
+        return kwargs["choices"]
+
+    assert choices("lattice build", "--scaling") is lattices.SCALINGS
+    assert choices("cover invariants", "--kodaira") is covers.KODAIRA
