@@ -175,6 +175,11 @@ def test_de_small_cases():
     assert de(2) == make_code(["1111"], 4)
     with pytest.raises(ValueError):
         de(0)
+    with pytest.raises(ValueError):
+        de(17)
+    # the length is checked before any row is built
+    with within(1.0), pytest.raises(ValueError):
+        de(10**9)
 
 
 # --- canonical forms and equivalence ----------------------------------------
@@ -387,7 +392,7 @@ def brute_automorphism_count(code):
     return extend([])
 
 
-def group_order(k, generators):
+def group(k, generators):
     # closure of the identity under right multiplication by the generators
     identity = tuple(range(k))
     seen, frontier = {identity}, [identity]
@@ -400,7 +405,11 @@ def group_order(k, generators):
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    return len(seen)
+    return seen
+
+
+def group_order(k, generators):
+    return len(group(k, generators))
 
 
 def automorphism_cases():
@@ -586,34 +595,12 @@ def test_enumerate_length_13_within_budget(monkeypatch):
     # the paper's range ends at k = 13; canonicalizing every admissible
     # child took about 2 s on a 2-vCPU Xeon VM, one search per orbit about
     # 0.25 s
-    monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+    monkeypatch.setattr(gf2, "_LEVELS", {})
     gf2._canonical_search.cache_clear()
     with within(1.0):
         classes = enumerate_codes(13, "div4", 1, 13)
     assert len(classes) == 28
     assert max(c.dim for c in classes) == 5
-
-
-@pytest.mark.parametrize("weights", ["4", "div4"])
-def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
-    # a class's generators come from the search of the child that found it,
-    # carried onto the class by the witness; they must still generate the
-    # class's whole automorphism group, or orbits of cosets are split wrongly
-    monkeypatch.setattr(gf2, "_EXTENSIONS", {})
-    for length in range(1, 10):
-        classes = enumerate_codes(length, weights, 1, length)
-        carried = {}
-        for (base, _), children in gf2._EXTENSIONS.items():
-            if base.length == length:
-                for cls, generators, _ in children:
-                    carried.setdefault(cls, []).append(generators)
-        assert set(carried) == set(classes), length
-        for cls, generator_sets in carried.items():
-            order = group_order(length, gf2._canonical_search(cls)[2])
-            for generators in generator_sets:
-                for g in generators:
-                    assert permute(cls, g) == cls, cls
-                assert group_order(length, generators) == order, cls
 
 
 def brute_cosets(code, weights):
@@ -635,42 +622,116 @@ def brute_cosets(code, weights):
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
-def test_enumeration_cosets_match_span_test(monkeypatch, weights):
-    # each class is extended with the cosets it inherited from its parent;
-    # they must be exactly those a test against the class's whole span finds
-    monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
+    # a class is extended with the automorphism generators and the cosets
+    # it inherited from the base that found it: the generators must still
+    # generate its whole automorphism group, or orbits of cosets are split
+    # wrongly, and the cosets must be exactly those a test against its
+    # whole span finds
+    monkeypatch.setattr(gf2, "_LEVELS", {})
     extend = gf2._extensions
     given = {}
 
-    def recording(base, generators, cosets, known):
-        given[base] = list(cosets)
-        return extend(base, generators, cosets, known)
+    def recording(base, generators, cosets, found):
+        given[base] = generators, list(cosets)
+        extend(base, generators, cosets, found)
 
     monkeypatch.setattr(gf2, "_extensions", recording)
     for length in range(1, 11):
         classes = enumerate_codes(length, weights, 0, length)
         assert set(classes) <= set(given), length
         for cls in classes:
-            assert given[cls] == brute_cosets(cls, weights), cls
+            generators, cosets = given[cls]
+            assert cosets == brute_cosets(cls, weights), cls
+            # closing the zero code's group, the whole symmetric group, or
+            # any group at length 10 takes seconds
+            if not cls.dim or length == 10:
+                continue
+            # the carried group lies in Aut and holds the search's
+            # generators, which generate Aut
+            for g in generators:
+                assert permute(cls, g) == cls, cls
+            assert group(length, generators) >= \
+                set(gf2._canonical_search(cls)[2]), cls
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
 def test_enumeration_resumes_from_a_cached_frontier(monkeypatch, weights):
-    # a shallow enumeration leaves classes whose children are not cached;
-    # a deeper one must find their cosets, held once per class, and drop
-    # every class's cosets once its children are cached
+    # a shallow enumeration keeps the records of its deepest dimension; a
+    # deeper one extends only those and their descendants, a repeated one
+    # searches nothing, and a finished one keeps no records
+    extend, form = gf2._extensions, gf2.canonical_form
+    extended, formed = [], []
+
+    def recording(base, generators, cosets, found):
+        extended.append(base)
+        extend(base, generators, cosets, found)
+
+    def counting_form(code):
+        formed.append(code)
+        return form(code)
+
+    monkeypatch.setattr(gf2, "_extensions", recording)
+    monkeypatch.setattr(gf2, "canonical_form", counting_form)
     for length in range(1, 13):
-        monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+        monkeypatch.setattr(gf2, "_LEVELS", {})
         cold = enumerate_codes(length, weights, 1, length)
-        monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+        monkeypatch.setattr(gf2, "_LEVELS", {})
         shallow = enumerate_codes(length, weights, 1, 2)
-        held = [cls for children in gf2._EXTENSIONS.values()
-                for cls, _, cosets in children if cosets is not None]
-        assert sorted(held, key=lambda c: c.generators) == \
+        _, frontier = gf2._LEVELS[length, weights]
+        assert [cls for cls, _, _ in frontier] == \
             [cls for cls in shallow if cls.dim == 2], length
+        extended.clear()
         assert enumerate_codes(length, weights, 1, length) == cold, length
-        assert all(cosets is None for children in gf2._EXTENSIONS.values()
-                   for _, _, cosets in children), length
+        assert extended == [cls for cls in cold if cls.dim >= 2], length
+        assert gf2._LEVELS[length, weights][1] == (), length
+        extended.clear()
+        formed.clear()
+        again = enumerate_codes(length, weights, 0, length)
+        assert again == [zero_code(length)] + cold, length
+        assert extended == [] and formed == [], length
+        # the caller owns the list it gets
+        again.clear()
+        assert enumerate_codes(length, weights, 1, length) == cold, length
+
+
+def test_enumeration_survives_an_interrupted_level(monkeypatch):
+    # an alarm or a benchmark cap can stop a level part way through; the
+    # cache must then hold the last completed level, from which a full
+    # call finds what a cold one does
+    monkeypatch.setattr(gf2, "_LEVELS", {})
+    cold = enumerate_codes(12, "div4", 0, 12)
+    monkeypatch.setattr(gf2, "_LEVELS", {})
+    extend = gf2._extensions
+    bases = []
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupted(base, generators, cosets, found):
+        bases.append(base)
+        if sum(b.dim == 3 for b in bases) == 2:
+            assert found
+            raise Interrupted
+        extend(base, generators, cosets, found)
+
+    monkeypatch.setattr(gf2, "_extensions", interrupted)
+    with pytest.raises(Interrupted):
+        enumerate_codes(12, "div4", 0, 12)
+    levels, frontier = gf2._LEVELS[12, "div4"]
+    assert [len(level) for level in levels] == \
+        [sum(c.dim == d for c in cold) for d in (1, 2, 3)]
+    assert [cls for cls, _, _ in frontier] == list(levels[2])
+    monkeypatch.setattr(gf2, "_extensions", extend)
+    assert enumerate_codes(12, "div4", 0, 12) == cold
+
+
+def test_enumerate_dimension_zero_builds_no_cosets(monkeypatch):
+    # the zero code's cosets are every admissible word, about 10^9 of
+    # them at length 32 under "div4"; dimension 0 alone must not list them
+    monkeypatch.setattr(gf2, "_LEVELS", {})
+    with within(1.0):
+        assert enumerate_codes(32, "div4", 0, 0) == [zero_code(32)]
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
@@ -692,7 +753,7 @@ def test_enumeration_matches_mass_formula(weights):
 def test_enumeration_searches_no_base_twice(monkeypatch):
     # a base's automorphisms come from the search that found its class, so
     # every search is of a code that was canonicalized, not of the base again
-    monkeypatch.setattr(gf2, "_EXTENSIONS", {})
+    monkeypatch.setattr(gf2, "_LEVELS", {})
     gf2._canonical_search.cache_clear()
     form, search = gf2.canonical_form, gf2._canonical_search
     formed, unformed, high_rate = set(), [], set()
