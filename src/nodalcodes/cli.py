@@ -526,8 +526,12 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
+def _render(report: Dict[str, object], pretty: bool) -> str:
+    return json.dumps(report, indent=2 if pretty else None) + "\n"
+
+
 def _emit(report: Dict[str, object], pretty: bool) -> None:
-    sys.stdout.write(json.dumps(report, indent=2 if pretty else None) + "\n")
+    sys.stdout.write(_render(report, pretty))
 
 
 def _error_report(command: str, inputs: Dict[str, object],
@@ -566,17 +570,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         outputs, steps, status = args.handler(args)
+        # serialized before anything is written: an int too long for str()
+        # raises ValueError here, and the request ends as an error report
+        text = _render({
+            "command": args.command,
+            "inputs": inputs,
+            "outputs": outputs,
+            "derivation": [asdict(s) for s in steps],
+            "status": status,
+        }, pretty)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _emit(_error_report(args.command, inputs, str(exc)), pretty)
         return 1
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "derivation": [asdict(s) for s in steps],
-        "status": status,
-    }
-    _emit(report, pretty)
+    sys.stdout.write(text)
     return 0 if status == "ok" else 2
 
 

@@ -36,6 +36,15 @@ def test_report_shape(capsys):
     assert rep["outputs"]["dim"] == 2
 
 
+def test_code_de_too_long_is_error(capsys):
+    # 2n past the 32-coordinate limit is refused before any row is built
+    rc, rep = invoke(capsys, "code", "de", "100000")
+    assert rc == 1
+    assert rep["status"] == "error"
+    assert rep["inputs"] == {"n": 100000}
+    assert rep["outputs"] == {}
+
+
 def test_report_round_trips(capsys):
     rc, rep = invoke(capsys, "classify", "involution", "--k2", "8")
     assert rep == json.loads(json.dumps(rep))
@@ -224,6 +233,18 @@ def test_cover_invariants_non_integral_chi_is_error(capsys):
     assert rep["status"] == "error"
     assert rep["outputs"] == {}
     assert rep["error"]
+
+
+def test_cover_invariants_too_long_to_print_is_error(capsys):
+    # chi of the 2^20000-sheeted cover has more digits than str() writes;
+    # the report must still be one error report with the inputs
+    rc, rep = invoke(capsys, "cover", "invariants", "--chi", "1",
+                     "--k2", "0", "--r", "20000", "--m", "8")
+    assert rc == 1
+    assert rep["status"] == "error"
+    assert rep["outputs"] == {}
+    assert rep["inputs"]["r"] == 20000
+    assert "digits" in rep["error"]
 
 
 def test_bounds(capsys):
