@@ -621,13 +621,9 @@ def brute_cosets(code, weights):
     return sorted(out)
 
 
-@pytest.mark.parametrize("weights", ["4", "div4"])
-def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
-    # a class is extended with the automorphism generators and the cosets
-    # it inherited from the base that found it: the generators must still
-    # generate its whole automorphism group, or orbits of cosets are split
-    # wrongly, and the cosets must be exactly those a test against its
-    # whole span finds
+def recorded_extensions(monkeypatch, weights, lengths):
+    # enumerate each length from an empty cache, recording the generators
+    # and cosets each base is extended with
     monkeypatch.setattr(gf2, "_LEVELS", {})
     extend = gf2._extensions
     given = {}
@@ -637,15 +633,23 @@ def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
         extend(base, generators, cosets, found)
 
     monkeypatch.setattr(gf2, "_extensions", recording)
-    for length in range(1, 11):
+    for length in lengths:
         classes = enumerate_codes(length, weights, 0, length)
         assert set(classes) <= set(given), length
-        for cls in classes:
-            generators, cosets = given[cls]
-            assert cosets == brute_cosets(cls, weights), cls
-            # closing the zero code's group, the whole symmetric group, or
-            # any group at length 10 takes seconds
-            if not cls.dim or length == 10:
+        yield length, [(cls,) + given[cls] for cls in classes]
+
+
+@pytest.mark.parametrize("weights", ["4", "div4"])
+def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
+    # a class is extended with the automorphism generators it inherited
+    # from the base that found it: they must still generate its whole
+    # automorphism group, or orbits of cosets are split wrongly
+    for length, records in recorded_extensions(monkeypatch, weights,
+                                               range(1, 10)):
+        for cls, generators, _ in records:
+            # closing the zero code's group, the whole symmetric group,
+            # takes seconds
+            if not cls.dim:
                 continue
             # the carried group lies in Aut and holds the search's
             # generators, which generate Aut
@@ -653,6 +657,16 @@ def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
                 assert permute(cls, g) == cls, cls
             assert group(length, generators) >= \
                 set(gf2._canonical_search(cls)[2]), cls
+
+
+@pytest.mark.parametrize("weights", ["4", "div4"])
+def test_enumeration_cosets_match_span_test(monkeypatch, weights):
+    # each class is extended with the cosets it inherited from its parent;
+    # they must be exactly those a test against the class's whole span finds
+    for _, records in recorded_extensions(monkeypatch, weights,
+                                          range(1, 11)):
+        for cls, _, cosets in records:
+            assert cosets == brute_cosets(cls, weights), cls
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
