@@ -10,8 +10,6 @@ minimum branch count per rank, the isotropic rank bound, and the
 Bogomolov-Miyaoka-Yau node bound.
 """
 
-from dataclasses import asdict
-
 from nodalcodes.covers import (
     CoverSpec,
     SurfaceInvariants,
@@ -25,16 +23,16 @@ from nodalcodes.covers import (
 print("== double cover of a K^2 = 4 surface branched on 4 nodal curves ==")
 base = SurfaceInvariants(chi=1, K2=4, kodaira="two")
 out = cover_invariants(base, CoverSpec(r=1, m=4))
-print(f"cover:      {asdict(out.cover)}")
-print(f"contracted: {asdict(out.contracted)}")
+print(f"cover:      {out.cover._asdict()}")
+print(f"contracted: {out.contracted._asdict()}")
 print(f"exceptional curves blown down: {out.blowdowns}")
 
 print()
 print("== rank-3 cover of a K^2 = 0 surface branched on 7 curves ==")
 base = SurfaceInvariants(chi=1, K2=0)
 out = cover_invariants(base, CoverSpec(r=3, m=7))
-print(f"cover:      {asdict(out.cover)}")
-print(f"contracted: {asdict(out.contracted)}")
+print(f"cover:      {out.cover._asdict()}")
+print(f"contracted: {out.contracted._asdict()}")
 
 print()
 print("== non-integral Euler characteristics are contradictions ==")

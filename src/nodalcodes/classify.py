@@ -14,11 +14,10 @@ steps that the CLI serializes verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .covers import Step, isotropic_bound, min_m_for_r
 from .gf2 import BinaryCode, de, enumerate_codes, reduce
@@ -51,8 +50,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvolutionData:
+class _InvolutionData(NamedTuple):
+    K2_S: int
+    rho_S: int
+    D2: int
+    KD: int
+    k: int
+    t: int
+    rho_Y: int
+
+
+class InvolutionData(_InvolutionData):
     """Numerical data of an involution with k isolated fixed points.
 
     D is the divisorial part of the fixed locus, t the trace of the action
@@ -62,15 +70,10 @@ class InvolutionData:
         k = K.D + 4,   t = 2 - D^2,   rho_S + t = 2 rho_Y - 2 k.
     """
 
-    K2_S: int
-    rho_S: int
-    D2: int
-    KD: int
-    k: int
-    t: int
-    rho_Y: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> InvolutionData:
+        self = super().__new__(cls, *args, **kwargs)
         if self.k != self.KD + 4:
             raise ValueError(f"k = {self.k} but K.D + 4 = {self.KD + 4}")
         if self.t != 2 - self.D2:
@@ -80,6 +83,7 @@ class InvolutionData:
                 f"rho_S + t = {self.rho_S + self.t} != "
                 f"2 rho_Y - 2 k = {2 * self.rho_Y - 2 * self.k}"
             )
+        return self
 
 
 def fixed_point_data(K2_S: int, rho_S: int, D2: int, KD: int) -> InvolutionData:
@@ -100,8 +104,7 @@ def fixed_point_data(K2_S: int, rho_S: int, D2: int, KD: int) -> InvolutionData:
     )
 
 
-@dataclass(frozen=True)
-class TraceSums:
+class TraceSums(NamedTuple):
     holomorphic: Fraction
     topological: int
 
@@ -125,8 +128,7 @@ def fixed_point_traces(k: int, KD: int, D2: int) -> TraceSums:
 _CASE_LABELS = ("i", "ii", "iii", "iv", "v", "contradiction")
 
 
-@dataclass(frozen=True)
-class InvolutionCase:
+class _InvolutionCase(NamedTuple):
     label: str
     k: int
     rho_Y: int
@@ -135,7 +137,12 @@ class InvolutionCase:
     genus_of_pencil: Optional[int] = None
     derivation: Tuple[Step, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class InvolutionCase(_InvolutionCase):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> InvolutionCase:
+        self = super().__new__(cls, *args, **kwargs)
         if self.label not in _CASE_LABELS:
             raise ValueError(f"unknown case label: {self.label!r}")
         # chi(Y) = 1 throughout, so Noether pins K^2 to the Picard number
@@ -143,6 +150,7 @@ class InvolutionCase:
             raise ValueError(
                 f"K2_Y = {self.K2_Y} != 10 - rho_Y = {10 - self.rho_Y}"
             )
+        return self
 
 
 def _canonical_multiple(K2: int, D2: int) -> int:
@@ -350,8 +358,7 @@ def classify_involution(K2_S: int) -> Tuple[InvolutionCase, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PencilSolution:
+class PencilSolution(NamedTuple):
     m: int
     d: int
     genus: int
@@ -376,8 +383,7 @@ def solve_md() -> Tuple[PencilSolution, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberSpec:
+class FiberSpec(NamedTuple):
     kind: str
     euler: int
     nodal_capacity: int
@@ -454,8 +460,7 @@ def feasible_kr_pairs() -> FrozenSet[Tuple[int, int, int]]:
     return frozenset(found)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     rho: int
     k: int
     K2_Y: int
@@ -536,8 +541,7 @@ def saturated_node_sweep(rho: int) -> SweepRow:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmallRhoCase:
+class SmallRhoCase(NamedTuple):
     rho: int
     k: int
     description: str
@@ -575,8 +579,7 @@ def small_rho_cases(rho: int) -> Tuple[SmallRhoCase, ...]:
     return _SMALL_RHO_TABLE[rho]
 
 
-@dataclass(frozen=True)
-class StandardExample:
+class StandardExample(NamedTuple):
     n: int
     rho: int
     k: int

@@ -32,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
@@ -88,6 +87,18 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
+
+
+def _plain(value: object) -> object:
+    """value with every record in it, at any depth, as a dict of its
+    fields, and every tuple as a list: the shape its JSON has."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _code_dict(code: BinaryCode) -> Dict[str, object]:
@@ -285,7 +296,7 @@ def _lattice_identify(args: argparse.Namespace) -> Result:
     from . import lattices
 
     lat = lattices.lattice_from_json(Path(args.file).read_text())
-    outputs = {**asdict(lattices.identify_root_system(lat)),
+    outputs = {**lattices.identify_root_system(lat)._asdict(),
                "discriminant": str(lattices.discriminant(lat))}
     return outputs, [], "ok"
 
@@ -322,8 +333,8 @@ def _cover_invariants(args: argparse.Namespace) -> Result:
         ),
     ]
     outputs = {
-        "cover": asdict(result.cover),
-        "contracted": asdict(result.contracted),
+        "cover": result.cover._asdict(),
+        "contracted": result.contracted._asdict(),
         "blowdowns": result.blowdowns,
         "warnings": list(result.warnings),
     }
@@ -401,7 +412,7 @@ def _classify_involution(args: argparse.Namespace) -> Result:
         if all(c.label == "contradiction" for c in cases)
         else "ok"
     )
-    return {"cases": [asdict(c) for c in cases]}, steps, status
+    return {"cases": _plain(cases)}, steps, status
 
 
 @_command("classify fibers",
@@ -463,7 +474,7 @@ def _classify_thm_mt(args: argparse.Namespace) -> Result:
              "attained_r": list(row.attained_r)},
         )
     ]
-    return asdict(row), steps, "ok" if row.survives else "contradiction"
+    return _plain(row), steps, "ok" if row.survives else "contradiction"
 
 
 @_command("classify small-rho",
@@ -473,7 +484,7 @@ def _classify_small_rho(args: argparse.Namespace) -> Result:
     from . import classify
 
     cases = classify.small_rho_cases(args.rho)
-    return {"cases": [asdict(c) for c in cases]}, [], "ok"
+    return {"cases": _plain(cases)}, [], "ok"
 
 
 @_command("solve md", "positive solutions of d m = m + 2 d")
@@ -489,7 +500,7 @@ def _solve_md(args: argparse.Namespace) -> Result:
             {"solutions": [[s.m, s.d] for s in sols]},
         )
     ]
-    return {"solutions": [asdict(s) for s in sols]}, steps, "ok"
+    return {"solutions": _plain(sols)}, steps, "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +587,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             "command": args.command,
             "inputs": inputs,
             "outputs": outputs,
-            "derivation": [asdict(s) for s in steps],
+            "derivation": _plain(steps),
             "status": status,
         }, pretty)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -24,9 +24,8 @@ node count of a double cover forced by its chi drop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import KODAIRA
 
@@ -45,23 +44,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Step:
-    """One link of a derivation chain, serialized into CLI reports."""
-
+class _Step(NamedTuple):
     claim: str
     reference: str
-    values: Dict[str, object] = field(default_factory=dict)
+    values: Dict[str, object]
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    """Chern/Hodge numbers of a smooth projective surface.
+class Step(_Step):
+    """One link of a derivation chain, serialized into CLI reports."""
 
-    Unknown entries are None.  c2 may be omitted, in which case it is filled
-    in from the Noether formula 12 chi = K2 + c2.
-    """
+    __slots__ = ()
 
+    def __new__(cls, claim: str, reference: str,
+                values: Optional[Dict[str, object]] = None) -> Step:
+        # each step gets its own dict unless one is given
+        return super().__new__(
+            cls, claim, reference, {} if values is None else values)
+
+
+class _SurfaceInvariants(NamedTuple):
     chi: int
     K2: int
     c2: Optional[int] = None
@@ -70,11 +71,22 @@ class SurfaceInvariants:
     q: Optional[int] = None
     kodaira: str = "unknown"
 
-    def __post_init__(self) -> None:
+
+class SurfaceInvariants(_SurfaceInvariants):
+    """Chern/Hodge numbers of a smooth projective surface.
+
+    Unknown entries are None.  c2 may be omitted, in which case it is filled
+    in from the Noether formula 12 chi = K2 + c2.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SurfaceInvariants:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kodaira not in KODAIRA:
             raise ValueError(f"unknown kodaira tag: {self.kodaira!r}")
         if self.c2 is None:
-            object.__setattr__(self, "c2", 12 * self.chi - self.K2)
+            self = self._replace(c2=12 * self.chi - self.K2)
         if 12 * self.chi != self.K2 + self.c2:
             raise ValueError(
                 f"Noether fails: 12*{self.chi} != {self.K2} + {self.c2}"
@@ -95,16 +107,21 @@ class SurfaceInvariants:
                 f"with pg = q = 0, c2 must be rho + 2; got c2 = {self.c2}, "
                 f"rho = {self.rho}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class CoverSpec:
-    """Rank of the cover group (2^r sheets) and number of branch nodal curves."""
-
+class _CoverSpec(NamedTuple):
     r: int
     m: int
 
-    def __post_init__(self) -> None:
+
+class CoverSpec(_CoverSpec):
+    """Rank of the cover group (2^r sheets) and number of branch nodal curves."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CoverSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.r < 0:
             raise ValueError(f"r must be non-negative: {self.r}")
         if self.m < 0:
@@ -113,14 +130,14 @@ class CoverSpec:
             raise ValueError("a positive-rank cover needs branch curves")
         if self.r == 0 and self.m > 0:
             raise ValueError("a trivial cover (r = 0) has no branch curves")
+        return self
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     cover: SurfaceInvariants       # the smooth cover Z
     contracted: SurfaceInvariants  # Zbar, branch-curve preimages blown down
     blowdowns: int                 # number of (-1)-curves contracted, m 2^(r-1)
-    warnings: Tuple[str, ...] = field(default_factory=tuple)
+    warnings: Tuple[str, ...] = ()
 
 
 def cover_invariants(y: SurfaceInvariants, spec: CoverSpec) -> CoverResult:
@@ -210,8 +227,7 @@ def isotropic_bound(k: int, rho: int) -> int:
     return max(0, k - rho // 2)
 
 
-@dataclass(frozen=True)
-class NodeBound:
+class NodeBound(NamedTuple):
     max_nodes: int
     assumptions: Tuple[str, ...]
 

@@ -14,11 +14,10 @@ whose nonzero weights are constrained (all equal to 4, or divisible by 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 MAX_LENGTH = 32
 
@@ -68,14 +67,18 @@ def _rref(rows: Iterable[int]) -> Tuple[int, ...]:
     return tuple(pivots[p] for p in sorted(pivots))
 
 
-@dataclass(frozen=True)
-class BinaryCode:
-    """A linear code over GF(2), normalised to its RREF generator matrix."""
-
+class _BinaryCode(NamedTuple):
     length: int
     generators: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class BinaryCode(_BinaryCode):
+    """A linear code over GF(2), normalised to its RREF generator matrix."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> BinaryCode:
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.length <= MAX_LENGTH:
             raise ValueError(f"length out of range: {self.length}")
         last_pivot = -1
@@ -91,6 +94,7 @@ class BinaryCode:
         for g in self.generators:
             if (g & pivot_mask) != (g & -g):
                 raise ValueError("generator matrix is not fully reduced")
+        return self
 
     @property
     def dim(self) -> int:

@@ -14,10 +14,9 @@ so results are exact and deterministic; no floating point is used anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import SCALINGS
 from .gf2 import BinaryCode, is_doubly_even, is_even
@@ -38,8 +37,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class _GramLattice(NamedTuple):
+    rank: int
+    doubled_gram: Tuple[Tuple[int, ...], ...]
+    scaling: str
+
+
+class GramLattice(_GramLattice):
     """A lattice given by the doubled Gram matrix of a basis.
 
     ``scaling`` records which Construction-A convention produced it:
@@ -48,11 +52,10 @@ class GramLattice:
     use either tag.  The form must be positive definite.
     """
 
-    rank: int
-    doubled_gram: Tuple[Tuple[int, ...], ...]
-    scaling: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> GramLattice:
+        self = super().__new__(cls, *args, **kwargs)
         if self.rank < 1:
             raise ValueError(f"rank must be positive: {self.rank}")
         if self.scaling not in SCALINGS:
@@ -67,6 +70,7 @@ class GramLattice:
                 if g[i][j] != g[j][i]:
                     raise ValueError("doubled_gram must be symmetric")
         _bareiss_rows(g)
+        return self
 
 
 def construction_a(code: BinaryCode, scaling: str) -> GramLattice:
@@ -212,8 +216,7 @@ def roots(lat: GramLattice) -> List[Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootSystemReport:
+class RootSystemReport(NamedTuple):
     root_count: int
     components: Tuple[str, ...]
     full_rank: bool

@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
 
@@ -124,7 +123,7 @@ def test_derivation_steps_serialize():
     for k2 in (8, 9):
         for case in classify_involution(k2):
             for step in case.derivation:
-                d = asdict(step)
+                d = step._asdict()
                 assert set(d) == {"claim", "reference", "values"}
                 json.dumps(d)
 
