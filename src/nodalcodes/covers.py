@@ -210,6 +210,7 @@ def min_m_for_r(r: int) -> int:
     """
     if r < 1:
         raise ValueError(f"r must be positive: {r}")
+    r = min(r, 4)
     return -(-8 * (2 ** r - 1) // 2 ** r)
 
 

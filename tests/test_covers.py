@@ -1,4 +1,5 @@
 import pytest
+from helpers import within
 
 from nodalcodes.covers import (
     CoverSpec,
@@ -15,6 +16,7 @@ from nodalcodes.gf2 import enumerate_codes
 def test_surface_invariants_noether_fill_in():
     s = SurfaceInvariants(chi=1, K2=8)
     assert s.c2 == 4
+    assert SurfaceInvariants(1, 8) == s
     with pytest.raises(ValueError):
         SurfaceInvariants(chi=1, K2=8, c2=5)
 
@@ -141,6 +143,14 @@ def test_min_m_for_r_values():
         assert min_m_for_r(r) == 8
     with pytest.raises(ValueError):
         min_m_for_r(0)
+
+
+def test_min_m_for_r_in_constant_time():
+    # the counting bound ceil(8 (2^r - 1) / 2^r), without the clamp at r = 4
+    for r in range(1, 13):
+        assert min_m_for_r(r) == -(-8 * (2 ** r - 1) // 2 ** r)
+    with within(0.1):
+        assert min_m_for_r(10 ** 8) == 8
 
 
 def test_min_m_for_r_against_enumeration():
