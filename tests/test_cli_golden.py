@@ -119,7 +119,7 @@ def test_goldens_cover_every_command():
 
 
 # one case per command group, with the nodalcodes modules its request loads
-# and whether it loads fractions
+# and whether it loads fractions; no request loads dataclasses
 FRESH = {
     "code-de": ({"cli", "gf2"}, False),
     "lattice-build": ({"cli", "gf2", "lattices"}, True),
@@ -136,7 +136,8 @@ from nodalcodes import cli
 with contextlib.redirect_stdout(io.StringIO()):
     cli.run(sys.argv[1:])
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("nodalcodes", "fractions"))))
+                        if m.split(".")[0] in ("nodalcodes", "fractions",
+                                               "dataclasses"))))
 """
 
 
