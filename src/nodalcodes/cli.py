@@ -296,7 +296,7 @@ def _lattice_identify(args: argparse.Namespace) -> Result:
     from . import lattices
 
     lat = lattices.lattice_from_json(Path(args.file).read_text())
-    outputs = {**lattices.identify_root_system(lat)._asdict(),
+    outputs = {**_plain(lattices.identify_root_system(lat)),
                "discriminant": str(lattices.discriminant(lat))}
     return outputs, [], "ok"
 
@@ -333,8 +333,8 @@ def _cover_invariants(args: argparse.Namespace) -> Result:
         ),
     ]
     outputs = {
-        "cover": result.cover._asdict(),
-        "contracted": result.contracted._asdict(),
+        "cover": _plain(result.cover),
+        "contracted": _plain(result.contracted),
         "blowdowns": result.blowdowns,
         "warnings": list(result.warnings),
     }
