@@ -27,6 +27,8 @@ FILES = {
     "de3.code": "6 2\n110011\n001111\n",
     "de3-perm.code": "6 2\n101101\n011011\n",
     "bad.code": "8 x\n",
+    "a2.lattice": '{"rank": 2, "doubled_gram": [[4, -2], [-2, 4]], '
+                  '"scaling": "unscaled"}\n',
 }
 
 ENUMERATE_7 = ["code", "enumerate", "--length", "7", "--weights", "4",
@@ -57,6 +59,7 @@ CASES = {
     "code-recognize-de": [["code", "recognize-de", "de3.code"]],
     "lattice-build": [["lattice", "build", "de3.code", "--scaling", "half",
                        "--out", "de3.lattice"]],
+    "lattice-identify": [["lattice", "identify", "a2.lattice"]],
     "cover-invariants": [["cover", "invariants", "--chi", "1", "--k2", "4",
                           "--r", "1", "--m", "4"]],
     "bound-isotropic": [["bound", "isotropic", "--k", "8", "--rho", "10"]],
