@@ -498,40 +498,26 @@ def saturated_node_sweep(rho: int) -> SweepRow:
         # DE(n) on the quotient of the doubled-code shape, where 2n = rho-2
         # and r = n - 1; that rank never reaches r_min
         attained: Tuple[int, ...] = ()
-        if (rho - 2) % 2 == 0:
-            n = (rho - 2) // 2
-            if n - 1 >= r_min and 2 * n >= min_m_for_r(r_min):
-                attained = (n - 1,)
-        return SweepRow(
-            rho=rho,
-            k=k,
-            K2_Y=K2_Y,
-            r_min=r_min,
-            survives=bool(attained),
-            attained_r=attained,
-            tag=(
-                f"rank at least {r_min} forces at least "
-                f"{min_m_for_r(r_min)} curves in the code support, and "
-                "the doubled-code identification caps the rank below that"
-            ),
+        tag = (
+            f"rank at least {r_min} forces at least "
+            f"{min_m_for_r(r_min)} curves in the code support, and "
+            "the doubled-code identification caps the rank below that"
         )
-    # here k <= 7, so m < 8 automatically and all weights are exactly 4
-    attained_list = []
-    for code in enumerate_codes(k, "4", r_min, k):
-        if code.dim not in attained_list:
-            attained_list.append(code.dim)
-    survives = bool(attained_list)
-    if survives:
-        tag = _SURVIVOR_TAGS.get(rho, "survives numerically")
     else:
-        tag = "no admissible code of length k exists"
+        # here k <= 7, so m < 8 automatically and all weights are exactly 4
+        attained = tuple(sorted(
+            {code.dim for code in enumerate_codes(k, "4", r_min, k)}))
+        if attained:
+            tag = _SURVIVOR_TAGS.get(rho, "survives numerically")
+        else:
+            tag = "no admissible code of length k exists"
     return SweepRow(
         rho=rho,
         k=k,
         K2_Y=K2_Y,
         r_min=r_min,
-        survives=survives,
-        attained_r=tuple(attained_list),
+        survives=bool(attained),
+        attained_r=attained,
         tag=tag,
     )
 

@@ -305,7 +305,6 @@ def _lattice_identify(args: argparse.Namespace) -> Result:
           "invariants of the 2^r-cover branched on m nodal curves",
           _arg("--chi", type=int, required=True),
           _arg("--k2", type=int, required=True),
-          _arg("--c2", type=int, default=None),
           _arg("--r", type=int, required=True),
           _arg("--m", type=int, required=True),
           _arg("--kodaira", choices=KODAIRA, default="unknown"))
@@ -313,7 +312,7 @@ def _cover_invariants(args: argparse.Namespace) -> Result:
     from . import covers
 
     base = covers.SurfaceInvariants(
-        chi=args.chi, K2=args.k2, c2=args.c2, kodaira=args.kodaira
+        chi=args.chi, K2=args.k2, kodaira=args.kodaira
     )
     result = covers.cover_invariants(
         base, covers.CoverSpec(r=args.r, m=args.m)
@@ -590,7 +589,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             "derivation": _plain(steps),
             "status": status,
         }, pretty)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _emit(_error_report(args.command, inputs, str(exc)), pretty)
         return 1
     sys.stdout.write(text)

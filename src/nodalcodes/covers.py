@@ -44,39 +44,26 @@ __all__ = [
 ]
 
 
-class _Step(NamedTuple):
+class Step(NamedTuple):
+    """One link of a derivation chain, serialized into CLI reports."""
+
     claim: str
     reference: str
     values: Dict[str, object]
-
-
-class Step(_Step):
-    """One link of a derivation chain, serialized into CLI reports."""
-
-    __slots__ = ()
-
-    def __new__(cls, claim: str, reference: str,
-                values: Optional[Dict[str, object]] = None) -> Step:
-        # each step gets its own dict unless one is given
-        return super().__new__(
-            cls, claim, reference, {} if values is None else values)
 
 
 class _SurfaceInvariants(NamedTuple):
     chi: int
     K2: int
     c2: Optional[int] = None
-    rho: Optional[int] = None
-    pg: Optional[int] = None
-    q: Optional[int] = None
     kodaira: str = "unknown"
 
 
 class SurfaceInvariants(_SurfaceInvariants):
-    """Chern/Hodge numbers of a smooth projective surface.
+    """Chern numbers and Kodaira dimension of a smooth projective surface.
 
-    Unknown entries are None.  c2 may be omitted, in which case it is filled
-    in from the Noether formula 12 chi = K2 + c2.
+    c2 may be omitted, in which case it is filled in from the Noether
+    formula 12 chi = K2 + c2.
     """
 
     __slots__ = ()
@@ -90,22 +77,6 @@ class SurfaceInvariants(_SurfaceInvariants):
         if 12 * self.chi != self.K2 + self.c2:
             raise ValueError(
                 f"Noether fails: 12*{self.chi} != {self.K2} + {self.c2}"
-            )
-        if self.pg is not None and self.q is not None:
-            if self.chi != 1 + self.pg - self.q:
-                raise ValueError(
-                    f"chi = {self.chi} inconsistent with pg = {self.pg}, "
-                    f"q = {self.q}"
-                )
-        if (
-            self.rho is not None
-            and self.pg == 0
-            and self.q == 0
-            and self.c2 != self.rho + 2
-        ):
-            raise ValueError(
-                f"with pg = q = 0, c2 must be rho + 2; got c2 = {self.c2}, "
-                f"rho = {self.rho}"
             )
         return self
 
@@ -137,7 +108,7 @@ class CoverResult(NamedTuple):
     cover: SurfaceInvariants       # the smooth cover Z
     contracted: SurfaceInvariants  # Zbar, branch-curve preimages blown down
     blowdowns: int                 # number of (-1)-curves contracted, m 2^(r-1)
-    warnings: Tuple[str, ...] = ()
+    warnings: Tuple[str, ...]
 
 
 def cover_invariants(y: SurfaceInvariants, spec: CoverSpec) -> CoverResult:

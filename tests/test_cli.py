@@ -405,9 +405,14 @@ def test_code_file_round_trip_through_cli(capsys, tmp_path):
     assert rep["outputs"]["generators"] == ["1111"]
 
 
-def test_usage_error_report_keeps_argv(capsys):
-    argv = ["code", "enumerate", "--length", "x", "--weights", "4",
-            "--dim-min", "1", "--dim-max", "3"]
+@pytest.mark.parametrize("argv", [
+    ["code", "enumerate", "--length", "x", "--weights", "4",
+     "--dim-min", "1", "--dim-max", "3"],
+    # c2 is always 12 chi - K2, so there is no flag to repeat it
+    ["cover", "invariants", "--chi", "1", "--k2", "4", "--c2", "8",
+     "--r", "1", "--m", "4"],
+])
+def test_usage_error_report_keeps_argv(capsys, argv):
     rc = run(argv)
     out = capsys.readouterr().out
     assert rc == 1

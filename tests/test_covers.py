@@ -23,12 +23,6 @@ def test_surface_invariants_noether_fill_in():
 
 def test_surface_invariants_consistency_checks():
     with pytest.raises(ValueError):
-        SurfaceInvariants(chi=2, K2=0, pg=0, q=0)
-    with pytest.raises(ValueError):
-        SurfaceInvariants(chi=1, K2=0, rho=9, pg=0, q=0)  # c2 != rho + 2
-    ok = SurfaceInvariants(chi=1, K2=0, rho=10, pg=0, q=0)
-    assert ok.c2 == 12
-    with pytest.raises(ValueError):
         SurfaceInvariants(chi=1, K2=8, kodaira="three")
 
 
