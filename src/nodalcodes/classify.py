@@ -17,10 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .covers import Step, isotropic_bound, min_m_for_r
-from .gf2 import BinaryCode, de, enumerate_codes, reduce
+
+if TYPE_CHECKING:
+    from .gf2 import BinaryCode
 
 __all__ = [
     "Step",
@@ -449,6 +451,8 @@ def feasible_kr_pairs() -> FrozenSet[Tuple[int, int, int]]:
     weight 8 needs support 8), so the search reduces to exhaustive
     enumeration of all-weight-4 codes.
     """
+    from .gf2 import enumerate_codes, reduce
+
     found = set()
     for rho in range(5, 11):
         k = rho - 2
@@ -504,6 +508,8 @@ def saturated_node_sweep(rho: int) -> SweepRow:
             "the doubled-code identification caps the rank below that"
         )
     else:
+        from .gf2 import enumerate_codes
+
         # here k <= 7, so m < 8 automatically and all weights are exactly 4
         attained = tuple(sorted(
             {code.dim for code in enumerate_codes(k, "4", r_min, k)}))
@@ -575,6 +581,8 @@ class StandardExample(NamedTuple):
 def standard_example_invariants(n: int) -> StandardExample:
     """The rational surface carrying 2n disjoint nodal curves obtained from
     n double fibers of a ruling: rho = 2n + 2 and the code is de(n)."""
+    from .gf2 import de
+
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
     return StandardExample(n=n, rho=2 * n + 2, k=2 * n, code=de(n))

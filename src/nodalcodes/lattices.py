@@ -16,10 +16,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from . import SCALINGS
-from .gf2 import BinaryCode, is_doubly_even, is_even
+
+if TYPE_CHECKING:
+    from .gf2 import BinaryCode
 
 MAX_ROOT_RANK = 16
 
@@ -82,6 +84,8 @@ def construction_a(code: BinaryCode, scaling: str) -> GramLattice:
     code to be doubly even (otherwise the result is not even integral);
     "unscaled" requires all weights even so that roots are meaningful.
     """
+    from .gf2 import is_doubly_even, is_even
+
     if scaling not in SCALINGS:
         raise ValueError(f"unknown scaling tag: {scaling!r}")
     k = code.length

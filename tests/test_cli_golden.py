@@ -5,9 +5,9 @@ FILES below, with relative file names, and compares every run's exit code
 and standard output with ``tests/golden/cli/<case>.json``.  Rewrite the goldens with
 ``python tests/test_cli_golden.py`` and read the diff before committing.
 
-One case per command group also runs as ``python -m nodalcodes.cli`` in a
-fresh process, which must print the same bytes and load only the layers
-that group's handlers call.
+A case per command group (two for lattice) also runs as
+``python -m nodalcodes.cli`` in a fresh process, which must print the same
+bytes and load only the layers its handler calls.
 """
 
 import contextlib
@@ -121,15 +121,17 @@ def test_goldens_cover_every_command():
     assert pinned == set(_COMMANDS)
 
 
-# one case per command group, with the nodalcodes modules its request loads
-# and whether it loads fractions; no request loads dataclasses
+# a case per command group (two for lattice), with the nodalcodes modules
+# its request loads and whether it loads fractions; no request loads
+# dataclasses
 FRESH = {
     "code-de": ({"cli", "gf2"}, False),
     "lattice-build": ({"cli", "gf2", "lattices"}, True),
+    "lattice-identify": ({"cli", "lattices"}, True),
     "cover-invariants": ({"cli", "covers"}, False),
     "bound-min-m": ({"cli", "covers"}, False),
-    "classify-fibers": ({"cli", "classify", "covers", "gf2"}, True),
-    "solve-md": ({"cli", "classify", "covers", "gf2"}, True),
+    "classify-fibers": ({"cli", "classify", "covers"}, True),
+    "solve-md": ({"cli", "classify", "covers"}, True),
 }
 
 # runs cli.run on argv, discards its report and prints the modules it loaded
