@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb, factorial
 from pathlib import Path
@@ -601,6 +602,27 @@ def test_enumerate_length_13_within_budget(monkeypatch):
         classes = enumerate_codes(13, "div4", 1, 13)
     assert len(classes) == 28
     assert max(c.dim for c in classes) == 5
+
+
+def test_enumerate_length_16_reach(monkeypatch):
+    # a cold length-16 "div4" enumeration, resumed from dimension 4, ends
+    # with both doubly even self-dual classes of length 16, e8 + e8 and d16+
+    # (Pless and Sloane, 1975); about 2.5 s on a 2-vCPU Xeon VM
+    monkeypatch.setattr(gf2, "_LEVELS", {})
+    gf2._canonical_search.cache_clear()
+    with within(60):
+        shallow = enumerate_codes(16, "div4", 1, 4)
+        classes = enumerate_codes(16, "div4", 1, 16)
+    assert classes[:len(shallow)] == shallow
+    assert len(classes) == 145
+    assert dict(Counter(c.dim for c in classes)) == {
+        1: 4, 2: 10, 3: 23, 4: 38, 5: 36, 6: 23, 7: 9, 8: 2}
+    e8 = ["11110000", "00111100", "00001111", "01010101"]
+    e8e8 = make_code(
+        [w + "0" * 8 for w in e8] + ["0" * 8 + w for w in e8], 16)
+    d16 = make_code(list(de(8).generators) + ["01" * 8], 16)
+    top = {c for c in classes if c.dim == 8}
+    assert {canonical_form(c)[0] for c in (e8e8, d16)} == top
 
 
 def brute_cosets(code, weights):
