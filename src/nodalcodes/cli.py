@@ -331,13 +331,7 @@ def _cover_invariants(args: argparse.Namespace) -> Result:
             {"blowdowns": result.blowdowns, "K2": result.contracted.K2},
         ),
     ]
-    outputs = {
-        "cover": _plain(result.cover),
-        "contracted": _plain(result.contracted),
-        "blowdowns": result.blowdowns,
-        "warnings": list(result.warnings),
-    }
-    return outputs, steps, "ok"
+    return _plain(result), steps, "ok"
 
 
 @_command("bound isotropic",
