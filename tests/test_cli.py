@@ -411,7 +411,7 @@ def test_code_file_round_trip_through_cli(capsys, tmp_path):
     # c2 is always 12 chi - K2, so there is no flag to repeat it
     ["cover", "invariants", "--chi", "1", "--k2", "4", "--c2", "8",
      "--r", "1", "--m", "4"],
-])
+], ids=["bad-value", "cover-c2"])
 def test_usage_error_report_keeps_argv(capsys, argv):
     rc = run(argv)
     out = capsys.readouterr().out
