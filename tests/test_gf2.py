@@ -607,7 +607,7 @@ def test_enumerate_length_13_within_budget(monkeypatch):
 def test_enumerate_length_16_reach(monkeypatch):
     # a cold length-16 "div4" enumeration, resumed from dimension 4, ends
     # with both doubly even self-dual classes of length 16, e8 + e8 and d16+
-    # (Pless and Sloane, 1975); about 2.5 s on a 2-vCPU Xeon VM
+    # (Pless and Sloane, 1975); about 2.7 s on a 2-vCPU Xeon VM
     monkeypatch.setattr(gf2, "_LEVELS", {})
     gf2._canonical_search.cache_clear()
     with within(60):
