@@ -109,10 +109,10 @@ def test_enumerate_cache_is_deterministic(capsys, tmp_path):
     rc, rep = invoke(capsys, *args)
     assert rc == 0
     cache_file = rep["outputs"]["cache_file"]
-    first = open(cache_file, "rb").read()
+    first = Path(cache_file).read_bytes()
     assert first
     rc2, rep2 = invoke(capsys, *args)
-    second = open(cache_file, "rb").read()
+    second = Path(cache_file).read_bytes()
     assert first == second
     assert rep["outputs"]["codes"] == rep2["outputs"]["codes"]
     stamp, *lines = first.decode().splitlines()
@@ -187,7 +187,7 @@ def test_enumerate_bad_cache_is_recomputed(capsys, tmp_path, tamper):
     # report is recomputed and the file replaced
     rc, rep = invoke(capsys, *ENUMERATE_7, "--cache", str(tmp_path))
     path = rep["outputs"]["cache_file"]
-    good = open(path).read()
+    good = Path(path).read_text()
     assert rep["outputs"]["count"] == 3
     bad = tamper(good)
     assert bad != good
@@ -196,7 +196,7 @@ def test_enumerate_bad_cache_is_recomputed(capsys, tmp_path, tamper):
     rc2, rep2 = invoke(capsys, *ENUMERATE_7, "--cache", str(tmp_path))
     assert rc2 == 0
     assert rep2 == rep
-    assert open(path).read() == good
+    assert Path(path).read_text() == good
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "enumerate_len7_w4_dim1-7.jsonl"]
 
