@@ -14,7 +14,6 @@ steps that the CLI serializes verbatim.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import isqrt
 from typing import TYPE_CHECKING, FrozenSet, List, NamedTuple, Optional, Tuple
@@ -22,6 +21,8 @@ from typing import TYPE_CHECKING, FrozenSet, List, NamedTuple, Optional, Tuple
 from .covers import Step, isotropic_bound, min_m_for_r
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .gf2 import BinaryCode
 
 __all__ = [
@@ -117,6 +118,8 @@ def fixed_point_traces(k: int, KD: int, D2: int) -> TraceSums:
     The holomorphic one is (k - K.D)/4; the topological one counts the whole
     fixed locus, k + e(D) with e(D) = -D^2 - K.D.
     """
+    from fractions import Fraction
+
     return TraceSums(
         holomorphic=Fraction(k - KD, 4),
         topological=k + (-D2 - KD),
@@ -161,6 +164,8 @@ def _canonical_multiple(K2: int, D2: int) -> int:
     Anything but a positive perfect-square ratio signals an arithmetic slip
     upstream.
     """
+    from fractions import Fraction
+
     ratio = Fraction(K2, D2)
     if ratio <= 0:
         raise ValueError(f"K^2/D^2 = {ratio} is not positive")

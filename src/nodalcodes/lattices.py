@@ -14,13 +14,14 @@ so results are exact and deterministic; no floating point is used anywhere.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import isqrt, lcm
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from . import SCALINGS
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .gf2 import BinaryCode
 
 MAX_ROOT_RANK = 16
@@ -255,6 +256,8 @@ def identify_root_system(lat: GramLattice) -> RootSystemReport:
                 for c, b in enumerate(simple[j]) if b
             )
             if p2 not in (0, -2):
+                from fractions import Fraction
+
                 raise ValueError(
                     f"simple roots meet with product {Fraction(p2, 2)}; "
                     "not simply laced"
@@ -308,6 +311,8 @@ def identify_root_system(lat: GramLattice) -> RootSystemReport:
 
 def discriminant(lat: GramLattice) -> Fraction:
     """Determinant of the true Gram matrix, as an exact rational."""
+    from fractions import Fraction
+
     return Fraction(_bareiss_rows(lat.doubled_gram)[0][-1], 2 ** lat.rank)
 
 
