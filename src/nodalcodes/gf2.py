@@ -36,6 +36,7 @@ __all__ = [
     "reduce",
     "permute",
     "canonical_form",
+    "SearchBudgetError",
     "equivalent",
     "recognize_de",
     "enumerate_codes",
@@ -327,6 +328,19 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # the automorphisms found since it last looked, not all of them again
 # (McKay and Piperno 2014 keep orbits the same way).
 #
+# An automorphism leaf also ends the walk below the depth L where its path
+# first leaves the best leaf's (McKay 1981 jumps back the same way).  Let
+# the two paths share the prefix P and take columns c (best) and c' at
+# depth L.  The search is depth-first and c came first, so the subtree of
+# P + c is finished; the automorphism fixes P pointwise and maps P + c'
+# onto P + c, up to transpositions of equal columns.  So no leaf below
+# P + c' beats the best leaf, and the canonical matrix and its witness, the
+# first leaf to reach it, do not change; and every leaf skipped is the
+# image under a recorded generator of a leaf explored, so the generators
+# still generate Aut(C).  So every node deeper than L returns as soon as
+# its child does; the node at depth L merges the new automorphism into its
+# orbits, which then join c' to c, and goes on with its next candidate.
+#
 # The search also returns generators of Aut(C), and the results are cached,
 # so enumeration reads the automorphisms of each class it has canonicalized
 # instead of searching the class again (see ``_extensions``).
@@ -357,6 +371,16 @@ Generators = Tuple[Tuple[int, ...], ...]
 # about 650 searches.
 _SEARCH_CACHE_SIZE = 4096
 
+# Nodes one canonical search may visit: over 20 times the most any search
+# of a cold length-17 "div4" enumeration visits (10,784).  Codes whose
+# coordinates one round of refinement cannot split, such as those of Latin
+# square graphs of order 5, pass it in a few seconds instead of running on.
+_SEARCH_NODE_BUDGET = 220_000
+
+
+class SearchBudgetError(ValueError):
+    """A canonical search visited more nodes than its budget allows."""
+
 
 @lru_cache(maxsize=_SEARCH_CACHE_SIZE)
 def _canonical_search(
@@ -368,7 +392,8 @@ def _canonical_search(
     They are the automorphisms the search recorded and the transpositions
     of equal columns, which it never explores: every leaf reaching the
     canonical matrix is either visited, and so recorded, or pruned as the
-    image of an explored subtree under those permutations.
+    image of an explored subtree under those permutations.  Raises
+    ``SearchBudgetError`` past ``_SEARCH_NODE_BUDGET`` nodes.
     """
     k, r = code.length, code.dim
     if 2 * r > k:
@@ -403,10 +428,13 @@ def _canonical_search(
 
     best_cols: Optional[List[int]] = None
     best_chosen: Optional[List[int]] = None
+    nodes = 0
     # automorphisms found so far, as image lists (auts[j][c] is where c
     # goes), each with the mask of the points it fixes
     auts: List[Tuple[List[int], int]] = []
     generation = 0
+    # after an automorphism leaf, the depth the search jumps back to
+    jump = k
 
     def descend(
         depth: int,
@@ -417,7 +445,12 @@ def _canonical_search(
         kernel: List[int],
         on_path: bool,
     ) -> None:
-        nonlocal best_cols, best_chosen, generation
+        nonlocal best_cols, best_chosen, generation, jump, nodes
+        nodes += 1
+        if nodes > _SEARCH_NODE_BUDGET:
+            raise SearchBudgetError(
+                f"canonical search of a [{k},{r}] code stopped at {nodes} "
+                f"nodes, over its budget of {_SEARCH_NODE_BUDGET}")
         if depth == k:
             if not on_path:
                 best_cols = list(vals)
@@ -427,10 +460,12 @@ def _canonical_search(
                 # this leaf reproduces the best matrix, so sending its
                 # column order onto the best one is an automorphism
                 aut, fixed = [0] * k, 0
-                for c, b in zip(chosen, best_chosen):
+                for d, (c, b) in enumerate(zip(chosen, best_chosen)):
                     aut[c] = b
                     if c == b:
                         fixed |= 1 << c
+                    elif d < jump:
+                        jump = d
                 auts.append((aut, fixed))
             return
 
@@ -505,6 +540,9 @@ def _canonical_search(
                     new_rows, new_kernel, tie)
             vals.pop()
             chosen.pop()
+            if jump < depth:
+                return
+            jump = k
             explored.append(c)
             if generation != g0:
                 local_on_path = True
@@ -665,9 +703,9 @@ def enumerate_codes(
     the records of the deepest dimension: a deeper call resumes from them,
     and a shallower or repeated call reads the classes it asks for.
     Measured reach of "div4" from a cold process on a 2-vCPU Xeon VM
-    (Python 3.11): about 0.06 s at length 13, 0.2 s at 14, 0.4 s at 15,
-    2.3-2.9 s at 16, where both doubly even self-dual classes (e8 + e8 and
-    d16+) appear, and 4.3-5 s at 17.
+    (Python 3.11): about 0.05 s at length 13, 0.15 s at 14, 0.3 s at 15,
+    1.1-1.4 s at 16, where both doubly even self-dual classes (e8 + e8 and
+    d16+) appear, 2.6-2.7 s at 17 and 12.4 s at 18.
     """
     if not 1 <= length <= MAX_LENGTH:
         raise ValueError(f"length out of range: {length}")

@@ -1,7 +1,8 @@
-"""Helpers shared by the test modules: a time budget, a fresh interpreter
-and raw code searches."""
+"""Helpers shared by the test modules: a time budget, a fresh interpreter,
+raw code searches and Latin-square-graph codes."""
 
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import nodalcodes
+from nodalcodes.gf2 import make_code
 
 
 @contextmanager
@@ -77,3 +79,18 @@ def brute_weight4_codes(length):
                 support |= w
             out.add((len(span).bit_length() - 1, bin(support).count("1")))
     return out
+
+
+def latin_square_code(order, seed):
+    """The code spanned by the adjacency rows of the Latin square graph of a
+    seeded isotope of the cyclic square of the given order: one coordinate
+    per cell, two cells joined when they share a row, a column or a symbol.
+    Order 5 gives a [25,12] code."""
+    rng = random.Random(seed)
+    rows, cols, symbols = (rng.sample(range(order), order) for _ in range(3))
+    cells = [(i, j, symbols[(rows[i] + cols[j]) % order])
+             for i in range(order) for j in range(order)]
+    words = [sum(1 << t for t, b in enumerate(cells)
+                 if a != b and any(x == y for x, y in zip(a, b)))
+             for a in cells]
+    return make_code(words, order * order)

@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from helpers import latin_square_code, within
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -354,6 +355,21 @@ def test_error_report_keeps_inputs(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["status"] == "error"
     assert rep["inputs"] == {"file": str(path)}
+
+
+def test_search_over_node_budget_is_error(capsys, tmp_path):
+    # the canonical search of an order-5 Latin-square-graph code stops at
+    # its node budget, and the request ends as one error report
+    path = write_code(tmp_path, "latin5.txt", latin_square_code(5, 0))
+    with within(30):
+        rc = run(["code", "equiv", path, path])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["status"] == "error"
+    assert rep["inputs"] == {"a": path, "b": path}
+    assert f"stopped at {gf2._SEARCH_NODE_BUDGET + 1} nodes" in rep["error"]
 
 
 @pytest.mark.parametrize("rank", ["2", True, 2.0])

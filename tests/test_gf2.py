@@ -7,7 +7,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
-from helpers import admissible_subspaces, within
+from helpers import admissible_subspaces, latin_square_code, within
 
 from nodalcodes import gf2
 from nodalcodes.gf2 import (
@@ -365,6 +365,19 @@ def test_canonical_form_high_rate_within_budget(n, k):
     assert_forms_within_budget(rng, random_code(rng, n, k))
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_latin_square_order_5_stops_at_node_budget(seed):
+    # one round of refinement cannot split the cells of a Latin square
+    # graph, so the search would run for minutes; it stops at the budget,
+    # in about 6-7 s on a 2-vCPU Xeon VM
+    code = latin_square_code(5, seed)
+    assert (code.length, code.dim) == (25, 12)
+    nodes = gf2._SEARCH_NODE_BUDGET + 1
+    with within(30), pytest.raises(gf2.SearchBudgetError,
+                                   match=f"stopped at {nodes} nodes"):
+        canonical_form(code)
+
+
 def brute_automorphism_count(code):
     # every one of the k! permutations, assigned coordinate by coordinate;
     # a branch is cut once a codeword inside the assigned prefix leaves the
@@ -424,15 +437,35 @@ def automorphism_cases():
     return cases
 
 
+def closed_form_cases():
+    # permuted copies of codes whose groups have known orders:
+    # |Aut(de(n))| = 2^n n!, Aut(simplex(r)) = GL(r, 2), and the extended
+    # Hamming code e8 has Aut = AGL(3, 2), of order 1344
+    rng = random.Random(1981)
+    cases = {f"de({n})": (de(n), 2 ** n * factorial(n)) for n in (3, 4, 5)}
+    cases["simplex(3)"] = simplex(3), 168
+    cases["simplex(4)"] = simplex(4), 20160
+    cases["e8"] = make_code(
+        ["11110000", "00111100", "00001111", "01010101"], 8), 1344
+    out = {}
+    for name, (code, order) in cases.items():
+        images = list(range(code.length))
+        rng.shuffle(images)
+        out[f"permuted {name}"] = permute(code, images), order
+    return out
+
+
 def test_automorphisms_generate_the_whole_group():
     # the enumeration extends each base once per orbit of these generators,
     # so each must be an automorphism and together they must reach every one
-    for name, code in automorphism_cases().items():
+    cases = {name: (code, brute_automorphism_count(code))
+             for name, code in automorphism_cases().items()}
+    cases.update(closed_form_cases())
+    for name, (code, order) in cases.items():
         generators = gf2._canonical_search(code)[2]
         for g in generators:
             assert permute(code, g) == code, name
-        assert group_order(code.length, generators) == \
-            brute_automorphism_count(code), name
+        assert group_order(code.length, generators) == order, name
 
 
 def test_automorphism_group_orders():
@@ -607,7 +640,7 @@ def test_enumerate_length_13_within_budget(monkeypatch):
 def test_enumerate_length_16_reach(monkeypatch):
     # a cold length-16 "div4" enumeration, resumed from dimension 4, ends
     # with both doubly even self-dual classes of length 16, e8 + e8 and d16+
-    # (Pless and Sloane, 1975); about 2.7 s on a 2-vCPU Xeon VM
+    # (Pless and Sloane, 1975); about 1.5 s on a 2-vCPU Xeon VM
     monkeypatch.setattr(gf2, "_LEVELS", {})
     gf2._canonical_search.cache_clear()
     with within(60):
