@@ -21,8 +21,6 @@ from typing import TYPE_CHECKING, FrozenSet, List, NamedTuple, Optional, Tuple
 from .covers import Step, isotropic_bound, min_m_for_r
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .gf2 import BinaryCode
 
 __all__ = [
@@ -108,22 +106,24 @@ def fixed_point_data(K2_S: int, rho_S: int, D2: int, KD: int) -> InvolutionData:
 
 
 class TraceSums(NamedTuple):
-    holomorphic: Fraction
+    holomorphic: int
     topological: int
 
 
 def fixed_point_traces(k: int, KD: int, D2: int) -> TraceSums:
     """Right-hand sides of the two fixed-point formulas.
 
-    The holomorphic one is (k - K.D)/4; the topological one counts the whole
-    fixed locus, k + e(D) with e(D) = -D^2 - K.D.
+    The holomorphic one is (k - K.D)/4, an integer for any involution; the
+    topological one counts the whole fixed locus, k + e(D) with
+    e(D) = -D^2 - K.D.
     """
-    from fractions import Fraction
-
-    return TraceSums(
-        holomorphic=Fraction(k - KD, 4),
-        topological=k + (-D2 - KD),
-    )
+    holomorphic, rest = divmod(k - KD, 4)
+    if rest:
+        raise ValueError(
+            f"k - K.D = {k - KD} is not divisible by 4; no involution has "
+            f"k = {k}, K.D = {KD}"
+        )
+    return TraceSums(holomorphic=holomorphic, topological=k + (-D2 - KD))
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +164,13 @@ def _canonical_multiple(K2: int, D2: int) -> int:
     Anything but a positive perfect-square ratio signals an arithmetic slip
     upstream.
     """
-    from fractions import Fraction
-
-    ratio = Fraction(K2, D2)
-    if ratio <= 0:
-        raise ValueError(f"K^2/D^2 = {ratio} is not positive")
-    if ratio.denominator != 1:
-        raise ValueError(f"K^2/D^2 = {ratio} is not an integer")
-    r = isqrt(ratio.numerator)
-    if r * r != ratio.numerator:
-        raise ValueError(f"K^2/D^2 = {ratio} is not a perfect square")
+    square, rest = divmod(K2, D2) if D2 else (0, 0)
+    r = isqrt(square) if square > 0 else 0
+    if rest or not r or r * r != square:
+        raise ValueError(
+            f"K^2 = {K2} is not r^2 D^2 with D^2 = {D2} for a positive "
+            "integer r"
+        )
     return r
 
 

@@ -256,10 +256,9 @@ def identify_root_system(lat: GramLattice) -> RootSystemReport:
                 for c, b in enumerate(simple[j]) if b
             )
             if p2 not in (0, -2):
-                from fractions import Fraction
-
+                half = f"{p2}/2" if p2 % 2 else p2 // 2
                 raise ValueError(
-                    f"simple roots meet with product {Fraction(p2, 2)}; "
+                    f"simple roots meet with product {half}; "
                     "not simply laced"
                 )
             cartan[i][j] = cartan[j][i] = p2

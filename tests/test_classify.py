@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,6 +7,7 @@ from helpers import brute_weight4_codes, within
 from nodalcodes.classify import (
     FIBER_TYPES,
     InvolutionCase,
+    _canonical_multiple,
     classify_involution,
     feasible_kr_pairs,
     fiber_budget,
@@ -54,11 +54,33 @@ def test_fixed_point_data_parity_raises():
 
 def test_fixed_point_traces():
     tr = fixed_point_traces(k=8, KD=4, D2=0)
-    assert tr.holomorphic == Fraction(1)
+    assert tr.holomorphic == 1 and type(tr.holomorphic) is int
     assert tr.topological == 8 + (-0 - 4)
     tr2 = fixed_point_traces(k=7, KD=3, D2=1)
-    assert tr2.holomorphic == Fraction(1)
+    assert tr2.holomorphic == 1 and type(tr2.holomorphic) is int
     assert tr2.topological == 7 - 4
+
+
+def test_fixed_point_traces_raise_off_multiples_of_four():
+    # the holomorphic sum (k - K.D)/4 of an involution is an integer
+    with pytest.raises(ValueError, match="k - K.D = 5 is not divisible by 4"):
+        fixed_point_traces(k=5, KD=0, D2=0)
+    assert fixed_point_traces(k=4, KD=8, D2=0).holomorphic == -1
+
+
+@pytest.mark.parametrize("K2, D2", [(9, 2), (9, -1), (8, 1), (9, 0)],
+                         ids=["not-integral", "negative", "not-square",
+                              "zero-D2"])
+def test_canonical_multiple_rejects(K2, D2):
+    # K^2 / D^2 must be the square of a positive integer r, with K ~ r D
+    with pytest.raises(ValueError, match=rf"K\^2 = {K2} .* D\^2 = {D2}"):
+        _canonical_multiple(K2, D2)
+
+
+def test_canonical_multiple():
+    assert _canonical_multiple(9, 1) == 3
+    assert _canonical_multiple(8, 2) == 2
+    assert _canonical_multiple(-8, -2) == 2
 
 
 # -- the two involution classifications --------------------------------------

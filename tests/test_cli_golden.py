@@ -130,6 +130,7 @@ FRESH = {
     "lattice-identify": ({"cli", "lattices"}, True),
     "cover-invariants": ({"cli", "covers"}, False),
     "bound-min-m": ({"cli", "covers"}, False),
+    "classify-involution-8": ({"cli", "classify", "covers"}, False),
     "classify-fibers": ({"cli", "classify", "covers"}, False),
     "solve-md": ({"cli", "classify", "covers"}, False),
 }
