@@ -37,7 +37,7 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
-from . import KODAIRA, SCALINGS, __version__
+from . import KODAIRA, MAX_LENGTH, SCALINGS, __version__
 
 if TYPE_CHECKING:
     from .covers import Step
@@ -305,8 +305,10 @@ def _lattice_identify(args: argparse.Namespace) -> Result:
           "invariants of the 2^r-cover branched on m nodal curves",
           _arg("--chi", type=int, required=True),
           _arg("--k2", type=int, required=True),
-          _arg("--r", type=int, required=True),
-          _arg("--m", type=int, required=True),
+          _arg("--r", type=int, required=True,
+               help="rank of the cover group, 0 <= r <= m"),
+          _arg("--m", type=int, required=True,
+               help=f"number of branch curves, 0 <= m <= {MAX_LENGTH}"),
           _arg("--kodaira", choices=KODAIRA, default="unknown"))
 def _cover_invariants(args: argparse.Namespace) -> Result:
     from . import covers

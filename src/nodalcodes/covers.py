@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from . import KODAIRA
+from . import KODAIRA, MAX_LENGTH
 
 __all__ = [
     "KODAIRA",
@@ -87,7 +87,11 @@ class _CoverSpec(NamedTuple):
 
 
 class CoverSpec(_CoverSpec):
-    """Rank of the cover group (2^r sheets) and number of branch nodal curves."""
+    """Rank of the cover group (2^r sheets) and number of branch nodal curves.
+
+    The cover group is dual to a rank-r binary code of length m, so
+    0 <= r <= m <= MAX_LENGTH.
+    """
 
     __slots__ = ()
 
@@ -101,6 +105,13 @@ class CoverSpec(_CoverSpec):
             raise ValueError("a positive-rank cover needs branch curves")
         if self.r == 0 and self.m > 0:
             raise ValueError("a trivial cover (r = 0) has no branch curves")
+        if self.m > MAX_LENGTH:
+            raise ValueError(
+                f"m = {self.m} exceeds the code length limit {MAX_LENGTH}")
+        if self.r > self.m:
+            raise ValueError(
+                f"r = {self.r} exceeds m = {self.m}: a binary code of "
+                f"length {self.m} has rank at most {self.m}")
         return self
 
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-MAX_LENGTH = 32
+from . import MAX_LENGTH
 
 __all__ = [
     "MAX_LENGTH",

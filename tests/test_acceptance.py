@@ -117,7 +117,7 @@ def test_criterion_03_cover_invariants():
         assert res.contracted.chi == 1
         for r in range(0, 7):
             for m in range(0, 17):
-                if (m == 0) != (r == 0):
+                if (m == 0) != (r == 0) or r > m:
                     continue
                 if r >= 1 and (m * 2 ** r) % 8:
                     continue

@@ -237,15 +237,35 @@ def test_cover_invariants_non_integral_chi_is_error(capsys):
 
 
 def test_cover_invariants_too_long_to_print_is_error(capsys):
-    # chi of the 2^20000-sheeted cover has more digits than str() writes;
-    # the report must still be one error report with the inputs
-    rc, rep = invoke(capsys, "cover", "invariants", "--chi", "1",
-                     "--k2", "0", "--r", "20000", "--m", "8")
+    # --chi has the most digits str() writes, so chi of the 256-sheeted
+    # cover has more; the report must still be one error report with the
+    # inputs
+    chi = "9" * 4300
+    rc, rep = invoke(capsys, "cover", "invariants", "--chi", chi,
+                     "--k2", "0", "--r", "8", "--m", "8")
     assert rc == 1
     assert rep["status"] == "error"
     assert rep["outputs"] == {}
-    assert rep["inputs"]["r"] == 20000
+    assert rep["inputs"]["chi"] == int(chi)
     assert "digits" in rep["error"]
+
+
+@pytest.mark.parametrize("r, m, message", [
+    ("5", "2", "r = 5 exceeds m = 2"),
+    ("100000000", "8", "r = 100000000 exceeds m = 8"),
+    ("1", "33", "m = 33 exceeds the code length limit 32"),
+], ids=["rank-above-length", "huge-rank", "too-many-curves"])
+def test_cover_invariants_out_of_range_is_error(capsys, r, m, message):
+    # a rank-r code of length m has r <= m <= 32; anything else ends at
+    # once, before 2^r is computed
+    with within(1):
+        rc, rep = invoke(capsys, "cover", "invariants", "--chi", "1",
+                         "--k2", "4", "--r", r, "--m", m)
+    assert rc == 1
+    assert rep["status"] == "error"
+    assert rep["outputs"] == {}
+    assert rep["inputs"]["r"] == int(r)
+    assert rep["error"].startswith(message)
 
 
 def test_bounds(capsys):

@@ -34,6 +34,12 @@ def test_cover_spec_validation():
     with pytest.raises(ValueError, match="no branch curves"):
         CoverSpec(r=0, m=3)
     assert CoverSpec(r=0, m=0).r == 0
+    # a rank-r code of length m, within the library's length limit
+    with pytest.raises(ValueError, match="r = 5 exceeds m = 2"):
+        CoverSpec(r=5, m=2)
+    with pytest.raises(ValueError, match="m = 33 exceeds"):
+        CoverSpec(r=1, m=33)
+    assert CoverSpec(r=32, m=32).r == 32
 
 
 def test_double_cover_of_del_pezzo_four():
@@ -76,7 +82,7 @@ def test_cover_chi_integrality():
                "by 4"),
     (-1, 1, 1, "chi = -9/4 is not integral: r = 1 requires m divisible "
                "by 4"),
-    (-1, 2, 1, "chi = -9/2 is not integral: r = 2 requires m even"),
+    (-1, 2, 3, "chi = -11/2 is not integral: r = 2 requires m even"),
 ])
 def test_cover_non_integral_chi_message(chi, r, m, message):
     # chi = 2^r chi(Y) - m 2^(r-3), reported in lowest terms
@@ -90,7 +96,7 @@ def test_cover_noether_on_a_grid():
     y = SurfaceInvariants(chi=1, K2=2)
     for r in range(0, 7):
         for m in range(0, 17):
-            if (m == 0) != (r == 0):
+            if (m == 0) != (r == 0) or r > m:
                 continue
             if (m * 2 ** r) % 8:
                 continue
