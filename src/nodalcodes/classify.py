@@ -500,9 +500,10 @@ def saturated_node_sweep(rho: int) -> SweepRow:
     K2_Y = 10 - rho
     r_min = isotropic_bound(k, rho)
     if r_min >= 4:
-        # m >= 8 is forced, the code reduces to a doubled even-weight code
-        # DE(n) on the quotient of the doubled-code shape, where 2n = rho-2
-        # and r = n - 1; that rank never reaches r_min
+        # narrated, not computed: no code is enumerated here.  The tag's
+        # argument is incomplete, since at rho = 9 and 10 the enumeration
+        # finds the [8,4] extended Hamming code (m = 8, not a DE code);
+        # ROADMAP item 3 replaces this branch with the enumeration
         attained: Tuple[int, ...] = ()
         tag = (
             f"rank at least {r_min} forces at least "
