@@ -14,7 +14,7 @@ whose nonzero weights are constrained (all equal to 4, or divisible by 4).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -341,6 +341,16 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # its child does; the node at depth L merges the new automorphism into its
 # orbits, which then join c' to c, and goes on with its next candidate.
 #
+# The witness is the first leaf, in depth-first order, to reach the
+# canonical matrix, and nothing prunes it: the bound cuts only subtrees
+# above the best matrix so far, and equal columns, orbits and the backjump
+# only images of subtrees explored earlier.  So ``equivalent`` stops b's
+# search at its first new best at or below a's matrix (the duals' when
+# 2 dim > length), unwinding as a backjump to depth -1: up to there it is
+# the full search, so that leaf is b's own witness if it reaches a's
+# matrix, and otherwise b's form lies below a's.  A stopped search need not
+# find all of Aut(b) or b's form, so its answers have a cache of their own.
+#
 # The search also returns generators of Aut(C), and the results are cached,
 # so enumeration reads the automorphisms of each class it has canonicalized
 # instead of searching the class again (see ``_extensions``).
@@ -382,7 +392,28 @@ class SearchBudgetError(ValueError):
     """A canonical search visited more nodes than its budget allows."""
 
 
-@lru_cache(maxsize=_SEARCH_CACHE_SIZE)
+def _remembered(search):
+    """``lru_cache`` for a search that also keeps its ``SearchBudgetError``,
+    which a repeat, walking the same nodes, would raise again."""
+    @lru_cache(maxsize=_SEARCH_CACHE_SIZE)
+    def outcome(*args):
+        try:
+            return search(*args), None
+        except SearchBudgetError as exc:
+            return None, str(exc)
+
+    @wraps(search)
+    def remembered(*args):
+        result, error = outcome(*args)
+        if error is not None:
+            raise SearchBudgetError(error)
+        return result
+
+    remembered.cache_clear = outcome.cache_clear
+    return remembered
+
+
+@_remembered
 def _canonical_search(
     code: BinaryCode,
 ) -> Tuple[BinaryCode, Tuple[int, ...], Generators]:
@@ -395,11 +426,27 @@ def _canonical_search(
     image of an explored subtree under those permutations.  Raises
     ``SearchBudgetError`` past ``_SEARCH_NODE_BUDGET`` nodes.
     """
-    k, r = code.length, code.dim
-    if 2 * r > k:
+    if 2 * code.dim > code.length:
         canon, images, auts = _canonical_search(_dual(code))
         return _dual(canon), images, auts
+    return _search(code)
 
+
+@_remembered
+def _reaching(code: BinaryCode, form: BinaryCode) -> Optional[Tuple[int, ...]]:
+    """``canonical_form(code)[1]`` if ``form`` is the canonical form of
+    ``code``, else None, from a search that stops at ``form``."""
+    if 2 * code.dim > code.length:
+        code, form = _dual(code), _dual(form)
+    best, images, _ = _search(code, form)
+    return images if best == form else None
+
+
+def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
+            ) -> Tuple[BinaryCode, Tuple[int, ...], Generators]:
+    """The canonical search of a code with 2 dim <= length; with ``stop``,
+    it ends at the first new best leaf whose matrix is at most stop's."""
+    k, r = code.length, code.dim
     gens = code.generators
     # Class of each column against the fixed RREF basis; columns of one
     # class agree on every codeword, so at any search node only the
@@ -426,6 +473,9 @@ def _canonical_search(
         cells[p] = cells.get(p, 0) | (1 << c)
     allowed = [cells[p] for p in sorted(profile)]
 
+    target = None if stop is None else [
+        sum(((g >> c) & 1) << (r - 1 - i)
+            for i, g in enumerate(stop.generators)) for c in range(k)]
     best_cols: Optional[List[int]] = None
     best_chosen: Optional[List[int]] = None
     nodes = 0
@@ -456,6 +506,8 @@ def _canonical_search(
                 best_cols = list(vals)
                 best_chosen = list(chosen)
                 generation += 1
+                if target is not None and best_cols <= target:
+                    jump = -1  # every node returns
             else:
                 # this leaf reproduces the best matrix, so sending its
                 # column order onto the best one is an automorphism
@@ -609,12 +661,14 @@ def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
     """A permutation carrying a onto b, or None if none exists.
 
     The returned tuple ``images`` satisfies ``permute(a, images) == b``.
+    Only a is searched in full: b's search stops at its first best leaf
+    at or below a's form, and its answer is cached per (b, form of a).
     """
     if a.length != b.length or a.dim != b.dim:
         return None
     ca, imgs_a = canonical_form(a)
-    cb, imgs_b = canonical_form(b)
-    if ca != cb:
+    imgs_b = _reaching(b, ca)
+    if imgs_b is None:
         return None
     inv_b = [0] * b.length
     for i, p in enumerate(imgs_b):

@@ -2,7 +2,8 @@ import json
 import random
 import time
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations)
 from math import comb, factorial
 from pathlib import Path
 
@@ -369,13 +370,19 @@ def test_canonical_form_high_rate_within_budget(n, k):
 def test_latin_square_order_5_stops_at_node_budget(seed):
     # one round of refinement cannot split the cells of a Latin square
     # graph, so the search would run for minutes; it stops at the budget,
-    # in about 6-7 s on a 2-vCPU Xeon VM
+    # in about 6-7 s on a 2-vCPU Xeon VM, and a repeat raises the same
+    # error at once instead of walking the same nodes again
     code = latin_square_code(5, seed)
     assert (code.length, code.dim) == (25, 12)
     nodes = gf2._SEARCH_NODE_BUDGET + 1
-    with within(30), pytest.raises(gf2.SearchBudgetError,
-                                   match=f"stopped at {nodes} nodes"):
-        canonical_form(code)
+    messages = []
+    for seconds in (30, 0.5):
+        with within(seconds), pytest.raises(gf2.SearchBudgetError,
+                                            match=f"stopped at {nodes} nodes"
+                                            ) as raised:
+            canonical_form(code)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 def brute_automorphism_count(code):
@@ -518,6 +525,207 @@ def test_equivalence_respects_weight_enumerator():
         b = permute(a, images)
         assert weight_enumerator(a) == weight_enumerator(b)
         assert equivalent(a, b) is not None
+
+
+def two_search_reference(a, b):
+    # equivalence from two full canonical searches: a's witness, then the
+    # inverse of b's
+    canon_a, wit_a = canonical_form(a)
+    canon_b, wit_b = canonical_form(b)
+    if canon_a != canon_b:
+        return None
+    inverse = [0] * b.length
+    for c, p in enumerate(wit_b):
+        inverse[p] = c
+    return tuple(inverse[wit_a[c]] for c in range(a.length))
+
+
+def shuffled_copy(rng, code):
+    images = list(range(code.length))
+    rng.shuffle(images)
+    return permute(code, images)
+
+
+def from_columns(columns, rows):
+    # the code whose generator matrix has the given columns, each an int
+    # whose bit i is the entry in row i
+    return make_code([sum(((v >> i) & 1) << c for c, v in enumerate(columns))
+                      for i in range(rows)], len(columns))
+
+
+def gl3_maps():
+    # the 168 invertible maps of GF(2)^3, as the images of the vectors 0..7
+    maps = []
+    for e1, e2, e3 in permutations(range(1, 8), 3):
+        if e3 != e1 ^ e2:
+            maps.append([(e1 if v & 1 else 0) ^ (e2 if v & 2 else 0)
+                         ^ (e3 if v & 4 else 0) for v in range(8)])
+    return maps
+
+
+def weight_enumerator_twins(n):
+    # [n,3] codes without zero columns, one per GL(3,2)-orbit of their
+    # multisets of columns, grouped by the weights of their seven nonzero
+    # words; two codes of a group share a weight enumerator and are
+    # inequivalent, since a permutation of coordinates carries one onto
+    # the other only when a map of GL(3,2) carries the columns across
+    maps, reached, groups = gl3_maps(), set(), {}
+    for columns in combinations_with_replacement(range(1, 8), n):
+        if columns in reached:
+            continue
+        reached |= {tuple(sorted(m[v] for v in columns)) for m in maps}
+        code = from_columns(columns, 3)
+        if code.dim == 3:
+            key = tuple(sorted(sum(bin(u & v).count("1") % 2 for v in columns)
+                               for u in range(1, 8)))
+            groups.setdefault(key, []).append(code)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def equivalence_corpus():
+    """(name, a, b, truth) for seeded pairs of codes of one length and
+    dimension; truth is True or False when the pair is known to be
+    equivalent or not, and None when only the reference decides."""
+    rng = random.Random(1981)
+    for n in range(1, 17):
+        for k in range(n + 1):
+            for j in range(6):
+                a = random_code(rng, n, k)
+                yield f"random [{n},{k}] #{j}", a, shuffled_copy(rng, a), True
+                yield (f"random [{n},{k}] #{j} vs another", a,
+                       random_code(rng, n, k), None)
+    for n in range(2, 17):
+        for j in range(16):
+            # a few distinct columns, each repeated
+            rows = rng.randrange(1, 5)
+            columns = [rng.randrange(1, 1 << rows)
+                       for _ in range(rng.randrange(1, 5))]
+            columns = [rng.choice(columns) for _ in range(n)]
+            a = from_columns(columns, rows)
+            yield (f"repeated columns [{n}] #{j}", a, shuffled_copy(rng, a),
+                   True)
+            columns[rng.randrange(n)] = rng.choice(columns)
+            b = from_columns(columns, rows)
+            if b.dim == a.dim:
+                yield (f"repeated columns [{n}] #{j} vs one moved", a,
+                       shuffled_copy(rng, b), None)
+    for name, code in [(f"de({n})", de(n)) for n in range(1, 9)] + \
+            [(f"simplex({r})", simplex(r)) for r in range(1, 5)]:
+        yield name, code, shuffled_copy(rng, code), True
+        yield name + " vs random", code, random_code(
+            rng, code.length, code.dim), None
+    for n in range(1, 13):
+        classes = enumerate_codes(n, "div4", 0, n)
+        for a in classes:
+            yield f"div4 {a}", a, shuffled_copy(rng, a), True
+            for b in classes:
+                if b != a and b.dim == a.dim:
+                    yield f"div4 {a} vs {b}", a, shuffled_copy(rng, b), False
+    for n in range(6, 13):
+        for group in weight_enumerator_twins(n):
+            for a in group:
+                yield f"twins [{n},3] {a}", a, shuffled_copy(rng, a), True
+                for b in group:
+                    if b != a:
+                        assert weight_enumerator(a) == weight_enumerator(b)
+                        yield (f"twins [{n},3] {a} vs {b}", a,
+                               shuffled_copy(rng, b), False)
+
+
+def test_equivalent_matches_two_searches():
+    # b's search stops at a's form, and must give what two full searches
+    # give: the same witness, or None
+    kinds = Counter()
+    for name, a, b, truth in equivalence_corpus():
+        got = equivalent(a, b)
+        assert got == two_search_reference(a, b), name
+        if got is not None:
+            assert permute(a, got) == b, name
+        if truth is not None:
+            assert (got is not None) == truth, name
+        kinds[got is None, 2 * a.dim > a.length] += 1
+    # both answers, on both sides of the dual switch
+    assert min(kinds.values()) >= 50 and len(kinds) == 4, kinds
+    assert sum(kinds.values()) >= 2500, kinds
+
+
+def fewest_nodes(monkeypatch, code):
+    # the smallest budget under which the full search of code passes,
+    # found by doubling and then bisection (2 dim <= length, so the
+    # uncached search runs in full and reads no cache)
+    assert 2 * code.dim <= code.length
+
+    def passes(budget):
+        monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", budget)
+        try:
+            gf2._canonical_search.__wrapped__(code)
+        except gf2.SearchBudgetError:
+            return False
+        return True
+
+    high = 1
+    while not passes(high):
+        high *= 2
+    low = high // 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if passes(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def node_cases():
+    rng = random.Random(2014)
+    codes = {name: HIGH_SYMMETRY[name]
+             for name in ("doubly even [14,6]", "de(8)")}
+    for n, k in [(10, 4), (12, 6), (13, 5), (14, 7), (16, 6), (16, 8)]:
+        codes[f"random [{n},{k}]"] = random_code(rng, n, k)
+    for name, a in codes.items():
+        # past the witness, the full search of a high-symmetry code walks
+        # the leaves that give its automorphisms (73 and 108 nodes against
+        # 15 and 17 for the two above)
+        yield pytest.param(a, shuffled_copy(rng, a), name in HIGH_SYMMETRY,
+                           id=name + " permuted")
+        other = random_doubly_even(rng, a.length, a.dim) \
+            if is_doubly_even(a) else random_code(rng, a.length, a.dim)
+        yield pytest.param(a, shuffled_copy(rng, other), False,
+                           id=name + " vs other")
+
+
+@pytest.mark.parametrize("a,b,halved", list(node_cases()))
+def test_stopped_search_visits_no_more_nodes(monkeypatch, a, b, halved):
+    # with a's form cached, b's stopped search must pass under the fewest
+    # nodes b's full search needs, and under half of them where the full
+    # search goes on past the witness
+    want = two_search_reference(a, b)
+    budget = fewest_nodes(monkeypatch, b) // (2 if halved else 1)
+    gf2._reaching.cache_clear()
+    monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", budget)
+    try:
+        assert equivalent(a, b) == want
+    finally:
+        gf2._reaching.cache_clear()
+
+
+def test_repeated_equivalence_runs_no_search(monkeypatch):
+    # each answer is cached per (b, form of a); a repeat searches nothing,
+    # on either side of the dual switch
+    rng = random.Random(1998)
+    pairs = []
+    for n, k in [(14, 6), (14, 9)]:
+        a = random_code(rng, n, k)
+        pairs += [(a, shuffled_copy(rng, a)), (a, random_code(rng, n, k))]
+    first = [equivalent(a, b) for a, b in pairs]
+    assert first[0] is not None and first[1] is None
+    assert first[2] is not None and first[3] is None
+
+    def no_search(*args):
+        raise AssertionError("search run")
+
+    monkeypatch.setattr(gf2, "_search", no_search)
+    assert [equivalent(a, b) for a, b in pairs] == first
 
 
 # --- recognizing doubled even-weight codes -----------------------------------
