@@ -445,7 +445,7 @@ def _reaching(code: BinaryCode, form: BinaryCode) -> Optional[Tuple[int, ...]]:
 def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
             ) -> Tuple[BinaryCode, Tuple[int, ...], Generators]:
     """The canonical search of a code with 2 dim <= length; with ``stop``,
-    it ends at the first new best leaf whose matrix is at most stop's."""
+    it ends at, and returns, the first best leaf at or below stop's."""
     k, r = code.length, code.dim
     gens = code.generators
     # Class of each column against the fixed RREF basis; columns of one
