@@ -374,12 +374,11 @@ def test_latin_square_order_5_stops_at_node_budget(seed):
     # error at once instead of walking the same nodes again
     code = latin_square_code(5, seed)
     assert (code.length, code.dim) == (25, 12)
-    nodes = gf2._SEARCH_NODE_BUDGET + 1
+    stopped = f"stopped at {gf2._SEARCH_NODE_BUDGET + 1} nodes"
     messages = []
     for seconds in (30, 0.5):
         with within(seconds), pytest.raises(gf2.SearchBudgetError,
-                                            match=f"stopped at {nodes} nodes"
-                                            ) as raised:
+                                            match=stopped) as raised:
             canonical_form(code)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
