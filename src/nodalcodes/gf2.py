@@ -349,7 +349,8 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # 2 dim > length), unwinding as a backjump to depth -1: up to there it is
 # the full search, so that leaf is b's own witness if it reaches a's
 # matrix, and otherwise b's form lies below a's.  A stopped search need not
-# find all of Aut(b) or b's form, so its answers have a cache of their own.
+# find all of Aut(b) or b's form, so its entry in the search cache is keyed
+# by (b, form of a), apart from b's full search.
 #
 # The search also returns generators of Aut(C), and the results are cached,
 # so enumeration reads the automorphisms of each class it has canonicalized
@@ -376,9 +377,9 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
 # Generators of a code's automorphism group, as tuples of images.
 Generators = Tuple[Tuple[int, ...], ...]
 
-# Far above one process's traffic: a perfbench enumerate pass held 161
-# entries, an equiv pass 196, and a cold length-16 "div4" enumeration makes
-# about 650 searches.
+# Far above one process's traffic: a perfbench enumerate pass holds 161-162
+# entries, an equiv pass 196, 98 of them from stopped searches, and a cold
+# length-16 "div4" enumeration 634.
 _SEARCH_CACHE_SIZE = 4096
 
 # Nodes one canonical search may visit: over 20 times the most any search
@@ -415,7 +416,7 @@ def _remembered(search):
 
 @_remembered
 def _canonical_search(
-    code: BinaryCode,
+    code: BinaryCode, stop: Optional[BinaryCode] = None,
 ) -> Tuple[BinaryCode, Tuple[int, ...], Generators]:
     """The search behind ``canonical_form``; also returns generators of
     Aut(code), as tuples of images.
@@ -425,21 +426,17 @@ def _canonical_search(
     canonical matrix is either visited, and so recorded, or pruned as the
     image of an explored subtree under those permutations.  Raises
     ``SearchBudgetError`` past ``_SEARCH_NODE_BUDGET`` nodes.
+
+    With ``stop``, the search ends at its first best leaf at or below
+    stop's matrix; the entry holds that leaf and only the automorphisms
+    found so far, and only ``equivalent`` reads it.  Call a full search
+    with ``code`` alone: the cache keys ``f(x)`` and ``f(x, None)`` apart.
     """
     if 2 * code.dim > code.length:
-        canon, images, auts = _canonical_search(_dual(code))
+        duals = [_dual(c) for c in (code, stop) if c is not None]
+        canon, images, auts = _canonical_search(*duals)
         return _dual(canon), images, auts
-    return _search(code)
-
-
-@_remembered
-def _reaching(code: BinaryCode, form: BinaryCode) -> Optional[Tuple[int, ...]]:
-    """``canonical_form(code)[1]`` if ``form`` is the canonical form of
-    ``code``, else None, from a search that stops at ``form``."""
-    if 2 * code.dim > code.length:
-        code, form = _dual(code), _dual(form)
-    best, images, _ = _search(code, form)
-    return images if best == form else None
+    return _search(code, stop)
 
 
 def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
@@ -662,13 +659,13 @@ def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
 
     The returned tuple ``images`` satisfies ``permute(a, images) == b``.
     Only a is searched in full: b's search stops at its first best leaf
-    at or below a's form, and its answer is cached per (b, form of a).
+    at or below a's form, and is cached per (b, form of a).
     """
     if a.length != b.length or a.dim != b.dim:
         return None
     ca, imgs_a = canonical_form(a)
-    imgs_b = _reaching(b, ca)
-    if imgs_b is None:
+    cb, imgs_b, _ = _canonical_search(b, ca)
+    if cb != ca:
         return None
     inv_b = [0] * b.length
     for i, p in enumerate(imgs_b):

@@ -699,13 +699,16 @@ def test_stopped_search_visits_no_more_nodes(monkeypatch, a, b, halved):
     # nodes b's full search needs, and under half of them where the full
     # search goes on past the witness
     want = two_search_reference(a, b)
+    full = gf2._SEARCH_NODE_BUDGET
     budget = fewest_nodes(monkeypatch, b) // (2 if halved else 1)
-    gf2._reaching.cache_clear()
+    gf2._canonical_search.cache_clear()
+    monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", full)
+    canonical_form(a)
     monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", budget)
     try:
         assert equivalent(a, b) == want
     finally:
-        gf2._reaching.cache_clear()
+        gf2._canonical_search.cache_clear()
 
 
 def test_repeated_equivalence_runs_no_search(monkeypatch):
