@@ -12,7 +12,6 @@ from nodalcodes.classify import (
     classify_involution,
     feasible_kr_pairs,
     fiber_budget,
-    fixed_point_traces,
     saturated_node_sweep,
     small_rho_cases,
     solve_md,
@@ -64,8 +63,6 @@ for case in classify_involution(8):
 
 print()
 print("== the arithmetic backing the elliptic case ==")
-print(f"fixed-point trace sums for k=8, K.D=4, D^2=0: "
-      f"{fixed_point_traces(8, 4, 0)}")
 multisets = fiber_budget(12, 8)
 print(f"fiber multisets fitting Euler number 12 with 8 nodal curves: "
       f"{[[f.kind for f in ms] for ms in multisets]}")

@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Step",
     "InvolutionData",
-    "TraceSums",
     "InvolutionCase",
     "PencilSolution",
     "FiberSpec",
@@ -35,7 +34,6 @@ __all__ = [
     "SmallRhoCase",
     "StandardExample",
     "fixed_point_data",
-    "fixed_point_traces",
     "classify_involution",
     "solve_md",
     "fiber_budget",
@@ -103,27 +101,6 @@ def fixed_point_data(K2_S: int, rho_S: int, D2: int, KD: int) -> InvolutionData:
     return InvolutionData(
         K2_S=K2_S, rho_S=rho_S, D2=D2, KD=KD, k=k, t=t, rho_Y=doubled // 2
     )
-
-
-class TraceSums(NamedTuple):
-    holomorphic: int
-    topological: int
-
-
-def fixed_point_traces(k: int, KD: int, D2: int) -> TraceSums:
-    """Right-hand sides of the two fixed-point formulas.
-
-    The holomorphic one is (k - K.D)/4, an integer for any involution; the
-    topological one counts the whole fixed locus, k + e(D) with
-    e(D) = -D^2 - K.D.
-    """
-    holomorphic, rest = divmod(k - KD, 4)
-    if rest:
-        raise ValueError(
-            f"k - K.D = {k - KD} is not divisible by 4; no involution has "
-            f"k = {k}, K.D = {KD}"
-        )
-    return TraceSums(holomorphic=holomorphic, topological=k + (-D2 - KD))
 
 
 # ---------------------------------------------------------------------------

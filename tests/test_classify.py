@@ -12,7 +12,6 @@ from nodalcodes.classify import (
     feasible_kr_pairs,
     fiber_budget,
     fixed_point_data,
-    fixed_point_traces,
     saturated_node_sweep,
     small_rho_cases,
     solve_md,
@@ -50,22 +49,6 @@ def test_fixed_point_data_parity_raises():
     # rho_S + t + 2k odd means no integral quotient Picard number
     with pytest.raises(ValueError):
         fixed_point_data(K2_S=8, rho_S=2, D2=1, KD=4)
-
-
-def test_fixed_point_traces():
-    tr = fixed_point_traces(k=8, KD=4, D2=0)
-    assert tr.holomorphic == 1 and type(tr.holomorphic) is int
-    assert tr.topological == 8 + (-0 - 4)
-    tr2 = fixed_point_traces(k=7, KD=3, D2=1)
-    assert tr2.holomorphic == 1 and type(tr2.holomorphic) is int
-    assert tr2.topological == 7 - 4
-
-
-def test_fixed_point_traces_raise_off_multiples_of_four():
-    # the holomorphic sum (k - K.D)/4 of an involution is an integer
-    with pytest.raises(ValueError, match="k - K.D = 5 is not divisible by 4"):
-        fixed_point_traces(k=5, KD=0, D2=0)
-    assert fixed_point_traces(k=4, KD=8, D2=0).holomorphic == -1
 
 
 @pytest.mark.parametrize("K2, D2", [(9, 2), (9, -1), (8, 1), (9, 0)],
