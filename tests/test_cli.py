@@ -377,12 +377,19 @@ def test_error_report_keeps_inputs(capsys, tmp_path):
     assert rep["inputs"] == {"file": str(path)}
 
 
-def test_search_over_node_budget_is_error(capsys, tmp_path):
+def test_search_over_node_budget_is_error(capsys, monkeypatch, tmp_path):
     # the canonical search of an order-5 Latin-square-graph code stops at
-    # its node budget, and the request ends as one error report
+    # its node budget, and the request ends as one error report; the
+    # budget is lowered, and the cache cleared before and after, so that
+    # no remembered error spares a later test the walk to the real budget
+    monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", 2000)
     path = write_code(tmp_path, "latin5.txt", latin_square_code(5, 0))
-    with within(30):
-        rc = run(["code", "equiv", path, path])
+    gf2._canonical_search.cache_clear()
+    try:
+        with within(30):
+            rc = run(["code", "equiv", path, path])
+    finally:
+        gf2._canonical_search.cache_clear()
     out = capsys.readouterr().out
     assert rc == 1
     assert len(out.splitlines()) == 1

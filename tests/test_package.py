@@ -34,6 +34,15 @@ def test_layers_load_on_first_access(access):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+@pytest.mark.parametrize("layer", LAYERS)
+def test_star_import_binds_all(layer):
+    # a stale __all__ entry makes import * raise
+    bound = {}
+    exec(f"from nodalcodes.{layer} import *", bound)
+    del bound["__builtins__"]
+    assert sorted(bound) == sorted(getattr(nodalcodes, layer).__all__)
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="frobnicate"):
         nodalcodes.frobnicate
