@@ -693,6 +693,36 @@ def node_cases():
                            id=name + " vs other")
 
 
+# nodes of the full searches of each case's a and b; they depend only on
+# the depth-first order, the bound, equal columns, orbits and the backjump
+NODES = {
+    "doubly even [14,6] permuted": (79, 73),
+    "doubly even [14,6] vs other": (79, 73),
+    "de(8) permuted": (108, 108),
+    "de(8) vs other": (108, 109),
+    "random [10,4] permuted": (22, 23),
+    "random [10,4] vs other": (22, 13),
+    "random [12,6] permuted": (28, 28),
+    "random [12,6] vs other": (28, 15),
+    "random [13,5] permuted": (23, 21),
+    "random [13,5] vs other": (23, 14),
+    "random [14,7] permuted": (41, 43),
+    "random [14,7] vs other": (41, 38),
+    "random [16,6] permuted": (17, 17),
+    "random [16,6] vs other": (17, 23),
+    "random [16,8] permuted": (66, 46),
+    "random [16,8] vs other": (66, 41),
+}
+
+
+@pytest.mark.parametrize("a,b,nodes", [
+    pytest.param(*case.values[:2], NODES[case.id], id=case.id)
+    for case in node_cases()])
+def test_full_search_node_counts(monkeypatch, a, b, nodes):
+    assert (fewest_nodes(monkeypatch, a), fewest_nodes(monkeypatch, b)) \
+        == nodes
+
+
 @pytest.mark.parametrize("a,b,halved", list(node_cases()))
 def test_stopped_search_visits_no_more_nodes(monkeypatch, a, b, halved):
     # with a's form cached, b's stopped search must pass under the fewest
