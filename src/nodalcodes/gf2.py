@@ -313,7 +313,15 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # Reading column-major lets the search build the matrix one column at a time:
 # after choosing a prefix of columns, the rows created so far are exactly the
 # RREF rows of the code projected onto that prefix, so candidate columns can
-# be compared and pruned before the permutation is complete.
+# be compared and pruned before the permutation is complete.  Each node
+# holds C as a column table: a basis of C, the t rows made so far and then
+# r - t words that vanish on the prefix, and one int per coordinate c whose
+# bit r - 1 - j is basis word j at c (the root's basis is the RREF, see
+# ``_columns``).  So a candidate column is read in O(1): if it has a bit
+# below the rows, a word vanishing on the prefix has c set, and c opens
+# row t with the column 0..010..0, its 1 in row t; otherwise its entries
+# in the rows are the int itself.  Opening a row changes the basis, and so
+# every column, once: O(k) per new row.
 #
 # Codes with large automorphism groups stay cheap because the search prunes
 # with the automorphisms it finds (McKay, "Practical graph isomorphism", 1981;
@@ -428,8 +436,8 @@ def _canonical_search(
     ``SearchBudgetError`` past ``_SEARCH_NODE_BUDGET`` nodes.
 
     With ``stop``, the search ends at its first best leaf at or below
-    stop's matrix; the entry holds that leaf and only the automorphisms
-    found so far, and only ``equivalent`` reads it.  Call a full search
+    stop's matrix; the entry holds that leaf and no generators, at both
+    levels of the dual switch, and only ``equivalent`` reads it.  Call a full search
     with ``code`` alone: the cache keys ``f(x)`` and ``f(x, None)`` apart.
     """
     if 2 * code.dim > code.length:
@@ -439,29 +447,46 @@ def _canonical_search(
     return _search(code, stop)
 
 
+def _columns(code: BinaryCode) -> List[int]:
+    """Column c of the generator matrix as a dim-bit int, row i at bit
+    dim - 1 - i: the column-major reading of the canonical form."""
+    cols = [0] * code.length
+    row = 1 << code.dim
+    for g in code.generators:
+        row >>= 1
+        while g:
+            bit = g & -g
+            cols[bit.bit_length() - 1] |= row
+            g ^= bit
+    return cols
+
+
 def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
             ) -> Tuple[BinaryCode, Tuple[int, ...], Generators]:
     """The canonical search of a code with 2 dim <= length; with ``stop``,
-    it ends at, and returns, the first best leaf at or below stop's."""
+    it ends at, and returns, the first best leaf at or below stop's, and
+    no generators."""
     k, r = code.length, code.dim
-    gens = code.generators
-    # Class of each column against the fixed RREF basis; columns of one
-    # class agree on every codeword, so at any search node only the
-    # smallest unused column of each class need be tried.
-    classes: Dict[Tuple[int, ...], int] = {}
-    cls = []
+    table = _columns(code)
+    # Equal columns agree on every codeword, so at any search node only
+    # the smallest unused column of each class need be tried: ``firsts``
+    # marks the smallest of each class, and taking column c hands the mark
+    # on to the next column of its class, ``after[c]``.
     swaps: List[Tuple[int, ...]] = []
+    after = [0] * k
     last: Dict[int, int] = {}
-    for c in range(k):
-        j = classes.setdefault(tuple((g >> c) & 1 for g in gens), len(classes))
-        cls.append(j)
-        if j in last:
+    firsts = 0
+    for c, col in enumerate(table):
+        if col in last:
             swap = list(range(k))
-            swap[c], swap[last[j]] = last[j], c
+            swap[c], swap[last[col]] = last[col], c
             swaps.append(tuple(swap))
-        last[j] = c
+            after[last[col]] = 1 << c
+        else:
+            firsts |= 1 << c
+        last[col] = c
     if r == 0:
-        return code, tuple(range(k)), tuple(swaps)
+        return code, tuple(range(k)), () if stop is not None else tuple(swaps)
 
     # depth d may take only a column whose profile is the d-th smallest
     profile = _profiles(code)
@@ -470,9 +495,7 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
         cells[p] = cells.get(p, 0) | (1 << c)
     allowed = [cells[p] for p in sorted(profile)]
 
-    target = None if stop is None else [
-        sum(((g >> c) & 1) << (r - 1 - i)
-            for i, g in enumerate(stop.generators)) for c in range(k)]
+    target = None if stop is None else _columns(stop)
     best_cols: Optional[List[int]] = None
     best_chosen: Optional[List[int]] = None
     nodes = 0
@@ -483,15 +506,11 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
     # after an automorphism leaf, the depth the search jumps back to
     jump = k
 
-    def descend(
-        depth: int,
-        vals: List[int],
-        chosen: List[int],
-        used: int,
-        rows: List[int],
-        kernel: List[int],
-        on_path: bool,
-    ) -> None:
+    vals: List[int] = []
+    chosen: List[int] = []
+
+    def descend(depth: int, used: int, reps: int, cols: List[int],
+                kmask: int, on_path: bool) -> None:
         nonlocal best_cols, best_chosen, generation, jump, nodes
         nodes += 1
         if nodes > _SEARCH_NODE_BUDGET:
@@ -518,29 +537,16 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
                 auts.append((aut, fixed))
             return
 
+        # a column with a kernel bit opens the next row, at the pivot bit
+        pivot = (kmask + 1) >> 1
         cands = []
-        free = allowed[depth] & ~used
-        seen = 0
+        free = allowed[depth] & reps
         while free:
             bit = free & -free
             free ^= bit
             c = bit.bit_length() - 1
-            if (seen >> cls[c]) & 1:
-                continue
-            seen |= 1 << cls[c]
-            hit = 0
-            for x in kernel:
-                if x & bit:
-                    hit = x
-                    break
-            if hit:
-                vec = 1 << (r - 1 - len(rows))
-            else:
-                vec = 0
-                for i, w in enumerate(rows):
-                    if w & bit:
-                        vec |= 1 << (r - 1 - i)
-            cands.append((vec, c, hit))
+            vec = cols[c]
+            cands.append((pivot if vec & kmask else vec, c))
         cands.sort()
 
         local_on_path = on_path
@@ -549,7 +555,7 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
         # pointwise, extended by each one found since it was last looked at
         parent: List[int] = []
         n_auts = 0
-        for vec, c, hit in cands:
+        for vec, c in cands:
             if best_cols is not None and local_on_path:
                 if vec > best_cols[depth]:
                     break
@@ -572,21 +578,27 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
                 root = _find(parent, c)
                 if any(_find(parent, e) == root for e in explored):
                     continue
-            if hit:
-                new_rows = [w ^ hit if (w >> c) & 1 else w for w in rows]
-                new_rows.append(hit)
-                new_kernel = []
-                for x in kernel:
-                    if x == hit:
-                        continue
-                    new_kernel.append(x ^ hit if (x >> c) & 1 else x)
-            else:
-                new_rows, new_kernel = rows, kernel
+            new_cols, new_kmask = cols, kmask
+            col = cols[c]
+            if col & kmask:
+                # c opens the next row: the word at the pivot bit, plus the
+                # one at c's lowest kernel bit when c lacks the pivot bit,
+                # which is then added to every other word with c set.  So
+                # each column changes by a word that its entries at those
+                # two bits decide.
+                if col & pivot:
+                    two, delta = pivot, {0: 0, pivot: col ^ pivot}
+                else:
+                    low = col & -col
+                    two = low | pivot
+                    delta = {0: 0, low: col ^ pivot, pivot: col, two: pivot}
+                new_cols = [x ^ delta[x & two] for x in cols]
+                new_kmask = kmask >> 1
             vals.append(vec)
             chosen.append(c)
             g0 = generation
-            descend(depth + 1, vals, chosen, used | (1 << c),
-                    new_rows, new_kernel, tie)
+            descend(depth + 1, used | (1 << c), reps ^ (1 << c) | after[c],
+                    new_cols, new_kmask, tie)
             vals.pop()
             chosen.pop()
             if jump < depth:
@@ -596,7 +608,7 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
             if generation != g0:
                 local_on_path = True
 
-    descend(0, [], [], 0, [], list(gens), False)
+    descend(0, 0, firsts, table, (1 << r) - 1, False)
     assert best_cols is not None and best_chosen is not None
 
     canon_gens = []
@@ -609,8 +621,9 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
     images = [0] * k
     for pos, c in enumerate(best_chosen):
         images[c] = pos
-    return (BinaryCode(k, tuple(canon_gens)), tuple(images),
-            tuple(tuple(a) for a, _ in auts) + tuple(swaps))
+    generators = () if stop is not None else \
+        tuple(tuple(a) for a, _ in auts) + tuple(swaps)
+    return BinaryCode(k, tuple(canon_gens)), tuple(images), generators
 
 
 def _find(parent: List[int], x: int) -> int:
@@ -687,23 +700,23 @@ def recognize_de(code: BinaryCode) -> Optional[int]:
     m, r = reduced.length, reduced.dim
     if m % 2 or r != m // 2 - 1:
         return None
-    n = m // 2
-    cols: Dict[Tuple[int, ...], List[int]] = {}
-    for c in range(m):
-        cols.setdefault(tuple((g >> c) & 1 for g in reduced.generators),
-                        []).append(c)
+    sizes: Dict[int, int] = {}
+    for col in _columns(reduced):
+        sizes[col] = sizes.get(col, 0) + 1
     # coordinates pair up only within a class of equal columns, so every
     # class must have even size; a class of size 2s carries s pairs
-    if any(len(cs) % 2 for cs in cols.values()):
+    if any(size % 2 for size in sizes.values()):
         return None
     # codewords are constant on pairs, hence are doublings of the induced
     # length-n words; the induced code then has dimension n - 1, and it is
-    # the even-weight code iff every induced generator has even weight
-    for g in reduced.generators:
-        wt = sum(((g >> cs[0]) & 1) * (len(cs) // 2) for cs in cols.values())
-        if wt % 2:
-            return None
-    return n
+    # the even-weight code iff every induced generator has even weight:
+    # iff the columns of the classes carrying an odd number of pairs add
+    # up to zero
+    odd = 0
+    for col, size in sizes.items():
+        if size // 2 % 2:
+            odd ^= col
+    return None if odd else m // 2
 
 
 def _admissible(weights: str):
