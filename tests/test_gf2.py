@@ -760,6 +760,40 @@ def test_repeated_equivalence_runs_no_search(monkeypatch):
     assert [equivalent(a, b) for a, b in pairs] == first
 
 
+@pytest.mark.parametrize("a", [
+    pytest.param(HIGH_SYMMETRY["doubly even [14,6]"], id="doubly even [14,6]"),
+    pytest.param(gf2._dual(de(6)), id="dual of de(6)"),
+])
+def test_stopped_entry_keeps_no_generators(monkeypatch, a):
+    # equivalent reads only the leaf a stopped search ends at, so its entry
+    # holds no generators, at both levels of the dual switch; b's canonical
+    # form still comes from a full search of its own
+    b = shuffled_copy(random.Random(1981), a)
+    gf2._canonical_search.cache_clear()
+    try:
+        form = canonical_form(a)[0]
+        assert equivalent(a, b) is not None
+        entries = [(b, form)]
+        if 2 * a.dim > a.length:
+            entries.append((gf2._dual(b), gf2._dual(form)))
+        searched = []
+        search = gf2._search
+
+        def counting(*args):
+            searched.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(gf2, "_search", counting)
+        for entry in entries:
+            assert gf2._canonical_search(*entry)[2] == ()
+        assert searched == []
+        assert canonical_form(b)[0] == form
+        assert [stop for _, stop in searched] == [None]
+        assert gf2._canonical_search(b)[2]
+    finally:
+        gf2._canonical_search.cache_clear()
+
+
 # --- recognizing doubled even-weight codes -----------------------------------
 
 
