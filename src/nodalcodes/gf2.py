@@ -315,12 +315,12 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # RREF rows of the code projected onto that prefix, so candidate columns can
 # be compared and pruned before the permutation is complete.  Each node
 # holds C as a column table: a basis of C, the t rows made so far and then
-# r - t words that vanish on the prefix, and one int per coordinate c whose
-# bit r - 1 - j is basis word j at c (the root's basis is the RREF, see
-# ``_columns``).  So a candidate column is read in O(1): if it has a bit
-# below the rows, a word vanishing on the prefix has c set, and c opens
-# row t with the column 0..010..0, its 1 in row t; otherwise its entries
-# in the rows are the int itself.  Opening a row changes the basis, and so
+# r - t words that vanish on the prefix (the kernel), and one int per
+# coordinate c whose bit r - 1 - j is basis word j at c (the root's basis
+# is the RREF, see ``_columns``).  So a candidate column is read in O(1):
+# if it has a kernel bit, a word vanishing on the prefix has c set, and c
+# opens row t with the column 0..010..0, its 1 in row t; otherwise its
+# entries in the rows are the int itself.  Opening a row changes the basis, and so
 # every column, once: O(k) per new row.
 #
 # Codes with large automorphism groups stay cheap because the search prunes
@@ -393,7 +393,7 @@ _SEARCH_CACHE_SIZE = 4096
 # Nodes one canonical search may visit: over 20 times the most any search
 # of a cold length-17 "div4" enumeration visits (10,784).  Codes whose
 # coordinates one round of refinement cannot split, such as those of Latin
-# square graphs of order 5, pass it in a few seconds instead of running on.
+# square graphs of order 5, pass it in 2-3 s instead of running on.
 _SEARCH_NODE_BUDGET = 220_000
 
 
@@ -506,6 +506,7 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
     # after an automorphism leaf, the depth the search jumps back to
     jump = k
 
+    # the column vectors read and the coordinates taken on the current path
     vals: List[int] = []
     chosen: List[int] = []
 
@@ -767,9 +768,9 @@ def enumerate_codes(
     the records of the deepest dimension: a deeper call resumes from them,
     and a shallower or repeated call reads the classes it asks for.
     Measured reach of "div4" from a cold process on a 2-vCPU Xeon VM
-    (Python 3.11): about 0.05 s at length 13, 0.15 s at 14, 0.3 s at 15,
-    1.1-1.4 s at 16, where both doubly even self-dual classes (e8 + e8 and
-    d16+) appear, 2.6-2.7 s at 17 and 12.4 s at 18.
+    (Python 3.11): about 0.04 s at length 13, 0.12 s at 14, 0.2-0.25 s at
+    15, 1.0-1.1 s at 16, where both doubly even self-dual classes (e8 + e8
+    and d16+) appear, 1.7-2.4 s at 17 and 8.9-9.7 s at 18.
     """
     if not 1 <= length <= MAX_LENGTH:
         raise ValueError(f"length out of range: {length}")

@@ -370,7 +370,7 @@ def test_canonical_form_high_rate_within_budget(n, k):
 def test_latin_square_order_5_stops_at_node_budget(seed):
     # one round of refinement cannot split the cells of a Latin square
     # graph, so the search would run for minutes; it stops at the budget,
-    # in about 6-7 s on a 2-vCPU Xeon VM, and a repeat raises the same
+    # in about 2-3 s on a 2-vCPU Xeon VM, and a repeat raises the same
     # error at once instead of walking the same nodes again
     code = latin_square_code(5, seed)
     assert (code.length, code.dim) == (25, 12)

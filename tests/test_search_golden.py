@@ -96,15 +96,13 @@ def dump(records):
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def test_corpus_spans_both_sides_of_the_dual_switch():
-    sides = {2 * code.dim > code.length for _, code, _, _ in corpus()}
-    assert sides == {False, True}
-    assert len(list(corpus())) >= 290
-
-
 def test_canonical_search_matches_golden():
     golden = json.loads(GOLDEN.read_text())
-    got = {name: record(*codes) for name, *codes in corpus()}
+    codes = list(corpus())
+    assert len(codes) >= 290
+    assert {2 * code.dim > code.length for _, code, _, _ in codes} \
+        == {False, True}
+    got = {name: record(*rest) for name, *rest in codes}
     assert list(got) == list(golden)
     for name, rec in got.items():
         assert rec == golden[name], name
