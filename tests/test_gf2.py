@@ -882,21 +882,27 @@ def test_enumerate_doubly_even_self_orthogonal():
             )
 
 
-def test_enumerate_matches_golden():
+ENUMERATE_GOLDEN = Path(__file__).resolve().parent / "golden" / \
+    "enumerate_codes.json"
+
+
+def enumeration_record():
     # generator matrices of every class for length <= 13 under the
-    # profile-refined canonical form; the canonical matrix is part of the
-    # output, so it must never drift
-    golden = json.loads(
-        (Path(__file__).parent / "golden" / "enumerate_codes.json").read_text()
-    )
-    got = {
+    # profile-refined canonical form, per weight rule and length
+    return {
         f"{w}/{length}": [
             list(c.generators) for c in enumerate_codes(length, w, 0, length)
         ]
         for w in ("4", "div4")
         for length in range(1, 14)
     }
-    assert got == golden
+
+
+def test_enumerate_matches_golden():
+    # the canonical matrix is part of the output, so it must never drift;
+    # rewrite the golden with ``python tests/test_gf2.py`` and read the
+    # diff before committing
+    assert enumeration_record() == json.loads(ENUMERATE_GOLDEN.read_text())
 
 
 def test_enumerate_length_13_within_budget(monkeypatch):
@@ -1188,3 +1194,11 @@ def test_parse_code_rejects_malformed():
 
 def test_format_code_matches_layout():
     assert format_code(de(2)) == "4 1\n1111\n"
+
+
+if __name__ == "__main__":
+    # one line per weight rule and length, so a diff names the lengths
+    # whose classes changed
+    ENUMERATE_GOLDEN.write_text("{\n" + ",\n".join(
+        f"  {json.dumps(key)}: {json.dumps(value)}"
+        for key, value in enumeration_record().items()) + "\n}\n")
