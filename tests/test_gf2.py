@@ -887,14 +887,14 @@ ENUMERATE_GOLDEN = Path(__file__).resolve().parent / "golden" / \
 
 
 def enumeration_record():
-    # generator matrices of every class for length <= 13 under the
+    # generator matrices of every class for length <= 15 under the
     # profile-refined canonical form, per weight rule and length
     return {
         f"{w}/{length}": [
             list(c.generators) for c in enumerate_codes(length, w, 0, length)
         ]
         for w in ("4", "div4")
-        for length in range(1, 14)
+        for length in range(1, 16)
     }
 
 
