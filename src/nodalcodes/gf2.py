@@ -733,7 +733,9 @@ def _admissible(weights: str):
 # bits cleared, in increasing order.
 Cosets = Tuple[int, ...]
 
-# A class, generators of its automorphism group, and its admissible cosets.
+# A code of a class, the first one the enumeration reached (not the class's
+# canonical form), generators of its automorphism group, and its admissible
+# cosets.
 Record = Tuple[BinaryCode, Generators, Cosets]
 
 # The enumeration of each (length, weight rule) so far, kept for the life of
@@ -760,10 +762,11 @@ def enumerate_codes(
     sorted by (dimension, generator matrix).  Every class of dimension
     d + 1 is a class of dimension d plus one word, and a base is extended
     by one word per orbit of its automorphism group (see ``_extensions``).
-    Each class carries the generators of its automorphism group that the
-    search which canonicalized it returned, so no base is searched again,
-    and its admissible cosets, inherited from the base that found it, so
-    only the zero code reads the words of admissible weight.
+    A class is extended as the first code that reached it, with the
+    generators of its automorphism group that the search of that code
+    returned, so no base is searched again, and with its admissible
+    cosets, inherited from its base, so only the zero code reads the words
+    of admissible weight.
     The process keeps, per length and rule, the classes found so far and
     the records of the deepest dimension: a deeper call resumes from them,
     and a shallower or repeated call reads the classes it asks for.
@@ -795,9 +798,9 @@ def enumerate_codes(
         found: Dict[BinaryCode, Record] = {}
         for base, generators, cosets in frontier:
             _extensions(base, generators, cosets, found)
-        frontier = tuple(sorted(found.values(),
-                                key=lambda record: record[0].generators))
-        levels += (tuple(cls for cls, _, _ in frontier),)
+        level = tuple(sorted(found, key=lambda canon: canon.generators))
+        levels += (level,)
+        frontier = tuple(found[canon] for canon in level)
         # one assignment per level, so an interrupted level leaves the
         # entry as the last completed one
         _LEVELS[key] = levels, frontier
@@ -814,20 +817,20 @@ def _extensions(
     cosets: Cosets,
     found: Dict[BinaryCode, Record],
 ) -> None:
-    """Add to ``found`` the canonical forms of the codes spanned by ``base``
-    and one of its admissible ``cosets`` that it does not hold yet, each
-    with generators of its automorphism group and its own admissible
-    cosets; ``generators`` generate Aut(base).
+    """Add to ``found``, keyed by canonical form, the codes spanned by
+    ``base`` and one of its admissible ``cosets`` whose class it does not
+    hold yet, each with generators of its automorphism group and its own
+    admissible cosets; ``generators`` generate Aut(base).
 
     An automorphism σ of the base maps base + w onto base + σ(w), so one
     coset per orbit of Aut(base) needs a canonical search (McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  A
     coset z is admissible for the child base + <x> iff z and z + x are
     both admissible for the base, and the two name the same coset of the
-    child; the witness carries it onto the child's canonical form, where
-    it is named again by clearing the form's pivot bits.  So the child's
-    cosets depend only on its class, not on the base that found it, and a
-    class already in ``found`` is skipped.
+    child.  The child is kept as it is, not moved onto its canonical form:
+    its generators are those of its own search, and its cosets keep the
+    names they had, with x's lowest bit cleared.  A class already in
+    ``found`` is skipped.
     """
     k, gens = base.length, base.generators
     pivots = [(g & -g, g) for g in gens]
@@ -858,28 +861,17 @@ def _extensions(
                     stack.append(z)
         # the child is searched through the module attribute, where a
         # tracer can count it; its automorphisms then come from the same
-        # cache entry, and the witness carries them onto the canonical form
+        # cache entry
         child = BinaryCode(k, _rref(gens + (x,)))
-        canon, images = canonical_form(child)
+        canon = canonical_form(child)[0]
         if canon in found:
             continue
-        auts = tuple(
-            _conjugate(a, images) for a in _canonical_search(child)[2])
-        # image of each coordinate under the witness, reduced modulo canon
-        # (x and z avoid the base's pivots, so z ^ x is already a coset)
-        canon_pivots = [(g & -g, g) for g in canon.generators]
-        column = [_coset(1 << images[c], canon_pivots) for c in range(k)]
-        carried = []
-        for z in cosets:
-            if z < z ^ x and z ^ x in admissible:
-                w = 0
-                while z:
-                    bit = z & -z
-                    w ^= column[bit.bit_length() - 1]
-                    z ^= bit
-                carried.append(w)
-        carried.sort()
-        found[canon] = canon, auts, tuple(carried)
+        # the child's rows are the base's plus x at pivot p, so a coset
+        # is named again by clearing bit p
+        p = x & -x
+        carried = sorted(z ^ x if z & p else z for z in cosets
+                         if z < z ^ x and z ^ x in admissible)
+        found[canon] = child, _canonical_search(child)[2], tuple(carried)
 
 
 def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:
@@ -889,15 +881,6 @@ def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:
         if w & bit:
             w ^= g
     return w
-
-
-def _conjugate(aut: Sequence[int], images: Sequence[int]) -> Tuple[int, ...]:
-    """The automorphism ``aut`` of a code, carried onto
-    ``permute(code, images)``: it sends images[c] to images[aut[c]]."""
-    out = [0] * len(images)
-    for c, a in enumerate(aut):
-        out[images[c]] = images[a]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -905,27 +905,44 @@ def test_enumerate_matches_golden():
     assert enumeration_record() == json.loads(ENUMERATE_GOLDEN.read_text())
 
 
+def counted_searches(monkeypatch):
+    # a cold enumeration's canonical searches, as a list that grows with
+    # each search the cache does not answer
+    monkeypatch.setattr(gf2, "_LEVELS", {})
+    gf2._canonical_search.cache_clear()
+    search, searched = gf2._search, []
+
+    def counting(*args):
+        searched.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(gf2, "_search", counting)
+    return searched
+
+
 def test_enumerate_length_13_within_budget(monkeypatch):
     # the paper's range ends at k = 13; canonicalizing every admissible
     # child took about 2 s on a 2-vCPU Xeon VM, one search per orbit about
-    # 0.25 s
-    monkeypatch.setattr(gf2, "_LEVELS", {})
-    gf2._canonical_search.cache_clear()
+    # 0.25 s.  Holding each class as the code that reached it, not moving
+    # it onto its canonical form first, cut the searches from 69 to 64
+    searched = counted_searches(monkeypatch)
     with within(1.0):
         classes = enumerate_codes(13, "div4", 1, 13)
     assert len(classes) == 28
     assert max(c.dim for c in classes) == 5
+    assert len(searched) == 64
 
 
 def test_enumerate_length_16_reach(monkeypatch):
     # a cold length-16 "div4" enumeration, resumed from dimension 4, ends
     # with both doubly even self-dual classes of length 16, e8 + e8 and d16+
-    # (Pless and Sloane, 1975); about 1.5 s on a 2-vCPU Xeon VM
-    monkeypatch.setattr(gf2, "_LEVELS", {})
-    gf2._canonical_search.cache_clear()
+    # (Pless and Sloane, 1975); about 1 s on a 2-vCPU Xeon VM, in 570
+    # searches (634 when each class was moved onto its canonical form)
+    searched = counted_searches(monkeypatch)
     with within(60):
         shallow = enumerate_codes(16, "div4", 1, 4)
         classes = enumerate_codes(16, "div4", 1, 16)
+    assert len(searched) == 570
     assert classes[:len(shallow)] == shallow
     assert len(classes) == 145
     assert dict(Counter(c.dim for c in classes)) == {
@@ -957,8 +974,9 @@ def brute_cosets(code, weights):
 
 
 def recorded_extensions(monkeypatch, weights, lengths):
-    # enumerate each length from an empty cache, recording the generators
-    # and cosets each base is extended with
+    # enumerate each length from an empty cache, recording each base, the
+    # code that first reached its class, with the generators and cosets it
+    # is extended with
     monkeypatch.setattr(gf2, "_LEVELS", {})
     extend = gf2._extensions
     given = {}
@@ -969,16 +987,19 @@ def recorded_extensions(monkeypatch, weights, lengths):
 
     monkeypatch.setattr(gf2, "_extensions", recording)
     for length in lengths:
+        given.clear()
         classes = enumerate_codes(length, weights, 0, length)
-        assert set(classes) <= set(given), length
-        yield length, [(cls,) + given[cls] for cls in classes]
+        forms = [canonical_form(base)[0] for base in given]
+        assert sorted(forms, key=lambda c: (c.dim, c.generators)) == \
+            classes, length
+        yield length, [(base,) + record for base, record in given.items()]
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
 def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
-    # a class is extended with the automorphism generators it inherited
-    # from the base that found it: they must still generate its whole
-    # automorphism group, or orbits of cosets are split wrongly
+    # a class is extended as the code that first reached it, with the
+    # automorphism generators of that code's search: they must generate its
+    # whole automorphism group, or orbits of cosets are split wrongly
     for length, records in recorded_extensions(monkeypatch, weights,
                                                range(1, 10)):
         for cls, generators, _ in records:
@@ -986,7 +1007,7 @@ def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
             # takes seconds
             if not cls.dim:
                 continue
-            # the carried group lies in Aut and holds the search's
+            # the given group lies in Aut and holds the search's
             # generators, which generate Aut
             for g in generators:
                 assert permute(cls, g) == cls, cls
@@ -997,7 +1018,8 @@ def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
 @pytest.mark.parametrize("weights", ["4", "div4"])
 def test_enumeration_cosets_match_span_test(monkeypatch, weights):
     # each class is extended with the cosets it inherited from its parent;
-    # they must be exactly those a test against the class's whole span finds
+    # they must be exactly those a test against the whole span of the code
+    # it is held as finds
     for _, records in recorded_extensions(monkeypatch, weights,
                                           range(1, 11)):
         for cls, _, cosets in records:
@@ -1028,11 +1050,12 @@ def test_enumeration_resumes_from_a_cached_frontier(monkeypatch, weights):
         monkeypatch.setattr(gf2, "_LEVELS", {})
         shallow = enumerate_codes(length, weights, 1, 2)
         _, frontier = gf2._LEVELS[length, weights]
-        assert [cls for cls, _, _ in frontier] == \
+        assert [canonical_form(base)[0] for base, _, _ in frontier] == \
             [cls for cls in shallow if cls.dim == 2], length
         extended.clear()
         assert enumerate_codes(length, weights, 1, length) == cold, length
-        assert extended == [cls for cls in cold if cls.dim >= 2], length
+        assert [canonical_form(base)[0] for base in extended] == \
+            [cls for cls in cold if cls.dim >= 2], length
         assert gf2._LEVELS[length, weights][1] == (), length
         extended.clear()
         formed.clear()
@@ -1070,7 +1093,8 @@ def test_enumeration_survives_an_interrupted_level(monkeypatch):
     levels, frontier = gf2._LEVELS[12, "div4"]
     assert [len(level) for level in levels] == \
         [sum(c.dim == d for c in cold) for d in (1, 2, 3)]
-    assert [cls for cls, _, _ in frontier] == list(levels[2])
+    assert [canonical_form(base)[0] for base, _, _ in frontier] == \
+        list(levels[2])
     monkeypatch.setattr(gf2, "_extensions", extend)
     assert enumerate_codes(12, "div4", 0, 12) == cold
 
