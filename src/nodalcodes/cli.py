@@ -163,7 +163,8 @@ def _read_cache(path: Path, args: argparse.Namespace) -> Optional[List[str]]:
                                if h)):
                 return None
             previous = key
-    except (OSError, ValueError, KeyError, TypeError):
+    # arrays nested past the recursion limit raise RecursionError
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
     return lines
 

@@ -332,7 +332,8 @@ def lattice_to_json(lat: GramLattice) -> str:
 def lattice_from_json(text: str) -> GramLattice:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # arrays nested past the recursion limit raise RecursionError
         raise ValueError(f"not valid JSON: {e}") from None
     try:
         rank = _json_int("rank", payload["rank"])

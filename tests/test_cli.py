@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from helpers import latin_square_code, within
+from helpers import fresh_python, latin_square_code, within
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,9 +179,22 @@ def tamper_old_version(text):
     return text.replace(__version__, "0.0.0", 1)
 
 
+# arrays nested far past the recursion limit of the JSON decoder
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def tamper_deep_nesting(text):
+    # a stamp whose count matches its one line: arrays nested too deep to
+    # decode
+    stamp = json.loads(text.splitlines()[0])
+    stamp["count"] = 1
+    return json.dumps(stamp, sort_keys=True, separators=(",", ":")) + \
+        "\n" + DEEP_JSON + "\n"
+
+
 @pytest.mark.parametrize("tamper", [
     tamper_truncate, tamper_drop_last, tamper_garbage, tamper_repeat_line,
-    tamper_non_canonical, tamper_old_version,
+    tamper_non_canonical, tamper_old_version, tamper_deep_nesting,
 ])
 def test_enumerate_bad_cache_is_recomputed(capsys, tmp_path, tamper):
     # a file that is not exactly what this version writes is a miss: the
@@ -554,3 +567,27 @@ def test_lattice_files_give_one_report(text):
         path = Path(tmp, "x.lattice")
         path.write_text(text)
         one_report(["lattice", "identify", str(path)])
+
+
+def test_deeply_nested_json_gives_one_report(tmp_path):
+    # a fresh process, at the interpreter's own recursion limit: a lattice
+    # file and a cache line nested too deep to decode end as one report
+    # each, an error and a recomputed miss
+    lattice = tmp_path / "deep.lattice"
+    lattice.write_text(DEEP_JSON)
+    proc = fresh_python("-m", "nodalcodes.cli", "lattice", "identify",
+                        str(lattice))
+    assert proc.returncode == 1 and proc.stderr == ""
+    (line,) = proc.stdout.splitlines()
+    rep = json.loads(line)
+    assert rep["status"] == "error" and "not valid JSON" in rep["error"]
+
+    argv = ("-m", "nodalcodes.cli", *ENUMERATE_7, "--cache", str(tmp_path))
+    first = fresh_python(*argv)
+    path = Path(json.loads(first.stdout)["outputs"]["cache_file"])
+    good = path.read_text()
+    path.write_text(tamper_deep_nesting(good))
+    proc = fresh_python(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines() == first.stdout.splitlines()
+    assert path.read_text() == good

@@ -430,6 +430,9 @@ def test_lattice_json_rejects_garbage():
         lattice_from_json("not json")
     with pytest.raises(ValueError):
         lattice_from_json('{"rank": 2}')
+    # arrays nested past the decoder's recursion limit
+    with pytest.raises(ValueError, match="not valid JSON"):
+        lattice_from_json("[" * 100_000 + "]" * 100_000)
     # non-integer Gram entries are rejected, not truncated or parsed
     for entry in ("4.7", '"4"', "true", "null", "4.0"):
         with pytest.raises(ValueError, match="doubled_gram entry"):
