@@ -153,14 +153,16 @@ def _read_cache(path: Path, args: argparse.Namespace) -> Optional[List[str]]:
         ok = gf2._admissible(args.weights)
         previous: Tuple[int, Tuple[int, ...]] = (-1, ())
         for line in lines:
-            code = gf2.make_code(json.loads(line)["generators"], args.length)
+            row = json.loads(line)
+            code = gf2.make_code(row["generators"], args.length)
             key = (code.dim, code.generators)
+            # once the line is the code's own, its weights are the code's
             if (_cache_lines([code]) != [line]
                     or not args.dim_min <= code.dim <= args.dim_max
                     or key <= previous
                     or gf2.canonical_form(code)[0] != code
-                    or not all(ok(h) for h in gf2.weight_enumerator(code)
-                               if h)):
+                    or not all(ok(int(h)) for h in row["weight_enumerator"]
+                               if h != "0")):
                 return None
             previous = key
     # arrays nested past the recursion limit raise RecursionError

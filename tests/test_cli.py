@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalcodes import __version__, gf2
-from nodalcodes.cli import run
+from nodalcodes.cli import _cache_lines, run
 from nodalcodes.gf2 import de, format_code, permute, simplex
 
 
@@ -139,10 +139,19 @@ def test_enumerate_cache_hit_skips_recomputation(capsys, tmp_path,
     def refuse(*a):
         raise AssertionError("recomputed despite a valid cache file")
 
+    # each cached line is checked against its code's own weights once
+    weigh, weighed = gf2.weight_enumerator, []
+
+    def counting(code):
+        weighed.append(code)
+        return weigh(code)
+
     monkeypatch.setattr(gf2, "enumerate_codes", refuse)
+    monkeypatch.setattr(gf2, "weight_enumerator", counting)
     rc2, rep2 = invoke(capsys, *args)
     assert rc2 == 0
     assert rep2 == rep
+    assert len(weighed) == rep["outputs"]["count"]
 
 
 ENUMERATE_7 = ("code", "enumerate", "--length", "7", "--weights", "4",
@@ -183,18 +192,30 @@ def tamper_old_version(text):
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
-def tamper_deep_nesting(text):
-    # a stamp whose count matches its one line: arrays nested too deep to
-    # decode
+def restamped(text, line):
+    # the file's stamp with its count set to 1, then the one line
     stamp = json.loads(text.splitlines()[0])
     stamp["count"] = 1
     return json.dumps(stamp, sort_keys=True, separators=(",", ":")) + \
-        "\n" + DEEP_JSON + "\n"
+        "\n" + line + "\n"
+
+
+def tamper_deep_nesting(text):
+    # arrays nested too deep to decode
+    return restamped(text, DEEP_JSON)
+
+
+def tamper_off_rule(text):
+    # the code's own line, in canonical form, but the code has a word of
+    # weight 2
+    code = gf2.canonical_form(gf2.make_code(["1100000"], 7))[0]
+    return restamped(text, _cache_lines([code])[0])
 
 
 @pytest.mark.parametrize("tamper", [
     tamper_truncate, tamper_drop_last, tamper_garbage, tamper_repeat_line,
     tamper_non_canonical, tamper_old_version, tamper_deep_nesting,
+    tamper_off_rule,
 ])
 def test_enumerate_bad_cache_is_recomputed(capsys, tmp_path, tamper):
     # a file that is not exactly what this version writes is a miss: the
