@@ -385,15 +385,16 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
 # Generators of a code's automorphism group, as tuples of images.
 Generators = Tuple[Tuple[int, ...], ...]
 
-# Far above one process's traffic: a perfbench enumerate pass holds 161-162
+# Far above one process's traffic: a perfbench enumerate pass holds 154-155
 # entries, an equiv pass 196, 98 of them from stopped searches, and a cold
-# length-16 "div4" enumeration 634.
+# length-16 "div4" enumeration 570.
 _SEARCH_CACHE_SIZE = 4096
 
-# Nodes one canonical search may visit: over 20 times the most any search
-# of a cold length-17 "div4" enumeration visits (10,784).  Codes whose
-# coordinates one round of refinement cannot split, such as those of Latin
-# square graphs of order 5, pass it in 2-3 s instead of running on.
+# Nodes one canonical search may visit: over 40 times the most any search
+# of a cold length-17 "div4" enumeration visits (5,467), and 4 times the
+# most at length 18 (54,639).  Codes whose coordinates one round of
+# refinement cannot split, such as those of Latin square graphs of order 5,
+# pass it in 2-3 s instead of running on.
 _SEARCH_NODE_BUDGET = 220_000
 
 
@@ -770,10 +771,11 @@ def enumerate_codes(
     The process keeps, per length and rule, the classes found so far and
     the records of the deepest dimension: a deeper call resumes from them,
     and a shallower or repeated call reads the classes it asks for.
-    Measured reach of "div4" from a cold process on a 2-vCPU Xeon VM
-    (Python 3.11): about 0.04 s at length 13, 0.12 s at 14, 0.2-0.25 s at
-    15, 1.0-1.1 s at 16, where both doubly even self-dual classes (e8 + e8
-    and d16+) appear, 1.7-2.4 s at 17 and 8.9-9.7 s at 18.
+    Measured reach of "div4" from a cold cache on a 2-vCPU Xeon VM
+    (Python 3.11): about 0.03-0.04 s at length 13, 0.08-0.1 s at 14,
+    0.17-0.21 s at 15, 0.84-0.95 s at 16, where both doubly even self-dual
+    classes (e8 + e8 and d16+) appear, 1.6-1.8 s at 17 and 5.5-6.5 s at
+    18.
     """
     if not 1 <= length <= MAX_LENGTH:
         raise ValueError(f"length out of range: {length}")
@@ -827,10 +829,10 @@ def _extensions(
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  A
     coset z is admissible for the child base + <x> iff z and z + x are
     both admissible for the base, and the two name the same coset of the
-    child.  The child is kept as it is, not moved onto its canonical form:
-    its generators are those of its own search, and its cosets keep the
-    names they had, with x's lowest bit cleared.  A class already in
-    ``found`` is skipped.
+    child.  The child is held as it is, not as its canonical form: its
+    generators come from its own search, and as its rows are the base's
+    plus x, the pair is named by whichever of z and z + x lacks x's lowest
+    bit.  A class already in ``found`` is skipped.
     """
     k, gens = base.length, base.generators
     pivots = [(g & -g, g) for g in gens]
@@ -866,8 +868,8 @@ def _extensions(
         canon = canonical_form(child)[0]
         if canon in found:
             continue
-        # the child's rows are the base's plus x at pivot p, so a coset
-        # is named again by clearing bit p
+        # x avoids the base's pivots, so the child's rows are the base's
+        # plus x at pivot p, and a coset is named again by clearing bit p
         p = x & -x
         carried = sorted(z ^ x if z & p else z for z in cosets
                          if z < z ^ x and z ^ x in admissible)

@@ -923,8 +923,7 @@ def counted_searches(monkeypatch):
 def test_enumerate_length_13_within_budget(monkeypatch):
     # the paper's range ends at k = 13; canonicalizing every admissible
     # child took about 2 s on a 2-vCPU Xeon VM, one search per orbit about
-    # 0.25 s.  Holding each class as the code that reached it, not moving
-    # it onto its canonical form first, cut the searches from 69 to 64
+    # 0.25 s.  The searches are counted, so one more repeated search shows
     searched = counted_searches(monkeypatch)
     with within(1.0):
         classes = enumerate_codes(13, "div4", 1, 13)
@@ -936,8 +935,8 @@ def test_enumerate_length_13_within_budget(monkeypatch):
 def test_enumerate_length_16_reach(monkeypatch):
     # a cold length-16 "div4" enumeration, resumed from dimension 4, ends
     # with both doubly even self-dual classes of length 16, e8 + e8 and d16+
-    # (Pless and Sloane, 1975); about 1 s on a 2-vCPU Xeon VM, in 570
-    # searches (634 when each class was moved onto its canonical form)
+    # (Pless and Sloane, 1975); about 1 s on a 2-vCPU Xeon VM, in a
+    # counted number of searches
     searched = counted_searches(monkeypatch)
     with within(60):
         shallow = enumerate_codes(16, "div4", 1, 4)
