@@ -734,9 +734,8 @@ def _admissible(weights: str):
 # bits cleared, in increasing order.
 Cosets = Tuple[int, ...]
 
-# A code of a class, the first one the enumeration reached (not the class's
-# canonical form), generators of its automorphism group, and its admissible
-# cosets.
+# A class as the first code of it the enumeration reached, not its canonical
+# form, with generators of its automorphism group and its admissible cosets.
 Record = Tuple[BinaryCode, Generators, Cosets]
 
 # The enumeration of each (length, weight rule) so far, kept for the life of
@@ -871,9 +870,9 @@ def _extensions(
         # x avoids the base's pivots, so the child's rows are the base's
         # plus x at pivot p, and a coset is named again by clearing bit p
         p = x & -x
-        carried = sorted(z ^ x if z & p else z for z in cosets
-                         if z < z ^ x and z ^ x in admissible)
-        found[canon] = child, _canonical_search(child)[2], tuple(carried)
+        carried = tuple(sorted(z ^ x if z & p else z for z in cosets
+                               if z < z ^ x and z ^ x in admissible))
+        found[canon] = child, _canonical_search(child)[2], carried
 
 
 def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:
