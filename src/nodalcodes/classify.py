@@ -7,9 +7,9 @@ on H^2, Picard number of the resolved quotient), the exhaustive (k, r, m)
 feasibility table for nodal codes, the Euler budget of a relatively minimal
 elliptic fibration whose fibers must absorb a given number of nodal curves,
 and the two-variable Diophantine equation behind the hyperelliptic-pencil
-cases.  Each classification routine returns records that re-check their own
-defining identities, plus a derivation trail of (claim, reference, values)
-steps that the CLI serializes verbatim.
+cases.  Each classification routine returns records that check or derive
+their own defining identities, plus a derivation trail of (claim, reference,
+values) steps that the CLI serializes verbatim.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "SweepRow",
     "SmallRhoCase",
     "StandardExample",
-    "fixed_point_data",
     "classify_involution",
     "solve_md",
     "fiber_budget",
@@ -54,9 +53,6 @@ class _InvolutionData(NamedTuple):
     rho_S: int
     D2: int
     KD: int
-    k: int
-    t: int
-    rho_Y: int
 
 
 class InvolutionData(_InvolutionData):
@@ -64,43 +60,36 @@ class InvolutionData(_InvolutionData):
 
     D is the divisorial part of the fixed locus, t the trace of the action
     on H^2 of the surface, rho_Y the Picard number of the resolved quotient.
-    The three linking identities are re-checked on construction:
+    k, t and rho_Y follow from the fields by the three linking identities,
 
-        k = K.D + 4,   t = 2 - D^2,   rho_S + t = 2 rho_Y - 2 k.
+        k = K.D + 4,   t = 2 - D^2,   rho_S + t = 2 rho_Y - 2 k,
+
+    so construction checks only that rho_S + t is even.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> InvolutionData:
         self = super().__new__(cls, *args, **kwargs)
-        if self.k != self.KD + 4:
-            raise ValueError(f"k = {self.k} but K.D + 4 = {self.KD + 4}")
-        if self.t != 2 - self.D2:
-            raise ValueError(f"t = {self.t} but 2 - D^2 = {2 - self.D2}")
-        if self.rho_S + self.t != 2 * self.rho_Y - 2 * self.k:
+        if (self.rho_S + self.t) % 2:
             raise ValueError(
-                f"rho_S + t = {self.rho_S + self.t} != "
-                f"2 rho_Y - 2 k = {2 * self.rho_Y - 2 * self.k}"
+                f"rho_Y = {self.rho_S + self.t + 2 * self.k}/2 is not "
+                f"integral; no involution has rho_S = {self.rho_S}, "
+                f"D^2 = {self.D2}, K.D = {self.KD}"
             )
         return self
 
+    @property
+    def k(self) -> int:
+        return self.KD + 4
 
-def fixed_point_data(K2_S: int, rho_S: int, D2: int, KD: int) -> InvolutionData:
-    """Complete (K2_S, rho_S, D^2, K.D) to a full involution datum.
+    @property
+    def t(self) -> int:
+        return 2 - self.D2
 
-    Raises on parity failure, which signals an impossible involution.
-    """
-    k = KD + 4
-    t = 2 - D2
-    doubled = rho_S + t + 2 * k
-    if doubled % 2:
-        raise ValueError(
-            f"rho_Y = {doubled}/2 is not integral; no involution has "
-            f"rho_S = {rho_S}, D^2 = {D2}, K.D = {KD}"
-        )
-    return InvolutionData(
-        K2_S=K2_S, rho_S=rho_S, D2=D2, KD=KD, k=k, t=t, rho_Y=doubled // 2
-    )
+    @property
+    def rho_Y(self) -> int:
+        return (self.rho_S + self.t) // 2 + self.k
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +162,7 @@ def _classify_k2_9() -> Tuple[InvolutionCase, ...]:
             {"r": r, "KD": r * 1},
         )
     )
-    data = fixed_point_data(9, 1, 1, 3)
+    data = InvolutionData(9, 1, 1, 3)
     steps.append(
         Step(
             "k = K.D + 4 = 7 and rho_S + t = 2 rho_Y - 2 k give rho_Y = 8",
@@ -226,7 +215,7 @@ def _classify_k2_8() -> Tuple[InvolutionCase, ...]:
 
     # the trace on the rank-2 invariant lattice is 0 or 2; t = 0 dies
     r = _canonical_multiple(8, 2)
-    dead = fixed_point_data(8, 2, D2=2, KD=r * 2)
+    dead = InvolutionData(8, 2, D2=2, KD=r * 2)
     t0_steps = (
         Step(
             "if t = 0 then D^2 = 2 and K ~ r D with r^2 D^2 = 8, so r = 2 "
@@ -267,7 +256,7 @@ def _classify_k2_8() -> Tuple[InvolutionCase, ...]:
     pencil = {2 * sol.m + 4: sol for sol in solve_md()}
     budgets = fiber_budget(12, 8)
     for label, kd in zip("i ii iii iv v".split(), (0, 2, 4, 6, 8)):
-        data = fixed_point_data(8, 2, D2=0, KD=kd)
+        data = InvolutionData(8, 2, D2=0, KD=kd)
         k2_y = 10 - data.rho_Y
         steps = [
             Step(
@@ -428,7 +417,8 @@ def feasible_kr_pairs() -> FrozenSet[Tuple[int, int, int]]:
 
     With m < 8 every nonzero weight is exactly 4 (a doubly even word of
     weight 8 needs support 8), so the search reduces to exhaustive
-    enumeration of all-weight-4 codes.
+    enumeration of all-weight-4 codes, each of which has m < 8: it is a
+    replicated simplex code (Bonisoli 1984), of support 4, 6 or 7.
     """
     from .gf2 import enumerate_codes, reduce
 
@@ -437,9 +427,7 @@ def feasible_kr_pairs() -> FrozenSet[Tuple[int, int, int]]:
         k = rho - 2
         r_lo = max(1, isotropic_bound(k, rho))
         for code in enumerate_codes(k, "4", r_lo, k):
-            m = reduce(code)[0].length
-            if m < 8:
-                found.add((k, code.dim, m))
+            found.add((k, code.dim, reduce(code)[0].length))
     return frozenset(found)
 
 

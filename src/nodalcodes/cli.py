@@ -150,7 +150,8 @@ def _read_cache(path: Path, args: argparse.Namespace) -> Optional[List[str]]:
         stamp, *lines = path.read_text().splitlines()
         if stamp != _cache_stamp(len(lines)):
             return None
-        ok = gf2._admissible(args.weights)
+        ok = gf2._weight_rule(args.length, args.weights, args.dim_min,
+                             args.dim_max)
         previous: Tuple[int, Tuple[int, ...]] = (-1, ())
         for line in lines:
             row = json.loads(line)

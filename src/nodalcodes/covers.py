@@ -140,8 +140,6 @@ def cover_invariants(y: SurfaceInvariants, spec: CoverSpec) -> CoverResult:
         )
     chi = eight_chi // 8
     k2_cover = 2 ** r * y.K2 - (m * 2 ** (r - 1) if r else 0)
-    c2_cover = 2 ** r * y.c2 - m * 2 ** r
-    k2_down = 2 ** r * y.K2
 
     warnings = []
     if y.kodaira == "minus_infinity" and chi > 1:
@@ -150,15 +148,11 @@ def cover_invariants(y: SurfaceInvariants, spec: CoverSpec) -> CoverResult:
             "ruled one; no such cover exists"
         )
 
-    cover = SurfaceInvariants(
-        chi=chi, K2=k2_cover, c2=c2_cover, kodaira=y.kodaira
-    )
-    contracted = SurfaceInvariants(
-        chi=chi, K2=k2_down, c2=12 * chi - k2_down, kodaira=y.kodaira
-    )
+    # Noether fills in c_2; for the cover it is 2^r c_2(Y) - m 2^r
     return CoverResult(
-        cover=cover,
-        contracted=contracted,
+        cover=SurfaceInvariants(chi=chi, K2=k2_cover, kodaira=y.kodaira),
+        contracted=SurfaceInvariants(chi=chi, K2=2 ** r * y.K2,
+                                     kodaira=y.kodaira),
         blowdowns=m * 2 ** (r - 1) if r else 0,
         warnings=tuple(warnings),
     )

@@ -14,7 +14,7 @@ whose nonzero weights are constrained (all equal to 4, or divisible by 4).
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -320,8 +320,8 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # is the RREF, see ``_columns``).  So a candidate column is read in O(1):
 # if it has a kernel bit, a word vanishing on the prefix has c set, and c
 # opens row t with the column 0..010..0, its 1 in row t; otherwise its
-# entries in the rows are the int itself.  Opening a row changes the basis, and so
-# every column, once: O(k) per new row.
+# entries in the rows are the int itself.  Opening a row changes the basis,
+# and so every column, once: O(k) per new row.
 #
 # Codes with large automorphism groups stay cheap because the search prunes
 # with the automorphisms it finds (McKay, "Practical graph isomorphism", 1981;
@@ -402,28 +402,7 @@ class SearchBudgetError(ValueError):
     """A canonical search visited more nodes than its budget allows."""
 
 
-def _remembered(search):
-    """``lru_cache`` for a search that also keeps its ``SearchBudgetError``,
-    which a repeat, walking the same nodes, would raise again."""
-    @lru_cache(maxsize=_SEARCH_CACHE_SIZE)
-    def outcome(*args):
-        try:
-            return search(*args), None
-        except SearchBudgetError as exc:
-            return None, str(exc)
-
-    @wraps(search)
-    def remembered(*args):
-        result, error = outcome(*args)
-        if error is not None:
-            raise SearchBudgetError(error)
-        return result
-
-    remembered.cache_clear = outcome.cache_clear
-    return remembered
-
-
-@_remembered
+@lru_cache(maxsize=_SEARCH_CACHE_SIZE)
 def _canonical_search(
     code: BinaryCode, stop: Optional[BinaryCode] = None,
 ) -> Tuple[BinaryCode, Tuple[int, ...], Generators]:
@@ -434,12 +413,14 @@ def _canonical_search(
     of equal columns, which it never explores: every leaf reaching the
     canonical matrix is either visited, and so recorded, or pruned as the
     image of an explored subtree under those permutations.  Raises
-    ``SearchBudgetError`` past ``_SEARCH_NODE_BUDGET`` nodes.
+    ``SearchBudgetError``, which is not cached, past
+    ``_SEARCH_NODE_BUDGET`` nodes; results do not depend on the budget.
 
     With ``stop``, the search ends at its first best leaf at or below
     stop's matrix; the entry holds that leaf and no generators, at both
-    levels of the dual switch, and only ``equivalent`` reads it.  Call a full search
-    with ``code`` alone: the cache keys ``f(x)`` and ``f(x, None)`` apart.
+    levels of the dual switch, and only ``equivalent`` reads it.  Call a
+    full search with ``code`` alone: the cache keys ``f(x)`` and
+    ``f(x, None)`` apart.
     """
     if 2 * code.dim > code.length:
         duals = [_dual(c) for c in (code, stop) if c is not None]
@@ -486,8 +467,6 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
         else:
             firsts |= 1 << c
         last[col] = c
-    if r == 0:
-        return code, tuple(range(k)), () if stop is not None else tuple(swaps)
 
     # depth d may take only a column whose profile is the d-th smallest
     profile = _profiles(code)
@@ -721,7 +700,12 @@ def recognize_de(code: BinaryCode) -> Optional[int]:
     return None if odd else m // 2
 
 
-def _admissible(weights: str):
+def _weight_rule(length: int, weights: str, dim_min: int, dim_max: int):
+    """Check the arguments of ``enumerate_codes``; return its weight test."""
+    if not 1 <= length <= MAX_LENGTH:
+        raise ValueError(f"length out of range: {length}")
+    if not 0 <= dim_min <= dim_max:
+        raise ValueError(f"invalid dimension range: [{dim_min}, {dim_max}]")
     if weights == "4":
         return lambda h: h == 4
     if weights == "div4":
@@ -776,11 +760,7 @@ def enumerate_codes(
     classes (e8 + e8 and d16+) appear, 1.6-1.8 s at 17 and 5.5-6.5 s at
     18.
     """
-    if not 1 <= length <= MAX_LENGTH:
-        raise ValueError(f"length out of range: {length}")
-    if not 0 <= dim_min <= dim_max:
-        raise ValueError(f"invalid dimension range: [{dim_min}, {dim_max}]")
-    ok = _admissible(weights)
+    ok = _weight_rule(length, weights, dim_min, dim_max)
 
     key = length, weights
     zero = zero_code(length)

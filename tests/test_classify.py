@@ -7,11 +7,11 @@ from helpers import brute_weight4_codes, within
 from nodalcodes.classify import (
     FIBER_TYPES,
     InvolutionCase,
+    InvolutionData,
     _canonical_multiple,
     classify_involution,
     feasible_kr_pairs,
     fiber_budget,
-    fixed_point_data,
     saturated_node_sweep,
     small_rho_cases,
     solve_md,
@@ -38,7 +38,7 @@ def brute_md_solutions(bound=1000):
 
 
 def test_fixed_point_data_identities():
-    data = fixed_point_data(K2_S=8, rho_S=2, D2=0, KD=4)
+    data = InvolutionData(K2_S=8, rho_S=2, D2=0, KD=4)
     assert data.k == 8
     assert data.t == 2
     assert data.rho_Y == 10
@@ -47,8 +47,8 @@ def test_fixed_point_data_identities():
 
 def test_fixed_point_data_parity_raises():
     # rho_S + t + 2k odd means no integral quotient Picard number
-    with pytest.raises(ValueError):
-        fixed_point_data(K2_S=8, rho_S=2, D2=1, KD=4)
+    with pytest.raises(ValueError, match="not integral"):
+        InvolutionData(K2_S=8, rho_S=2, D2=1, KD=4)
 
 
 @pytest.mark.parametrize("K2, D2", [(9, 2), (9, -1), (8, 1), (9, 0)],

@@ -236,6 +236,28 @@ def test_enumerate_bad_cache_is_recomputed(capsys, tmp_path, tamper):
         "enumerate_len7_w4_dim1-7.jsonl"]
 
 
+@pytest.mark.parametrize("length, dim_min, dim_max, error", [
+    (40, 1, 2, "length out of range: 40"),
+    (0, 1, 2, "length out of range: 0"),
+    (8, 5, 2, "invalid dimension range: [5, 2]"),
+], ids=["length-40", "length-0", "dims-5-2"])
+def test_enumerate_planted_empty_cache_keeps_argument_checks(
+        capsys, tmp_path, length, dim_min, dim_max, error):
+    # a file holding only a current stamp with no codes, named after a
+    # request the enumeration refuses, is no answer to that request
+    name = f"enumerate_len{length}_w4_dim{dim_min}-{dim_max}.jsonl"
+    (tmp_path / name).write_text(json.dumps(
+        {"algorithm": "enumerate_codes/aut-orbits/profile-refined-canonical",
+         "count": 0, "nodalcodes": __version__},
+        sort_keys=True, separators=(",", ":")) + "\n")
+    rc, rep = invoke(capsys, "code", "enumerate", "--length", str(length),
+                     "--weights", "4", "--dim-min", str(dim_min),
+                     "--dim-max", str(dim_max), "--cache", str(tmp_path))
+    assert rc == 1
+    assert rep["status"] == "error"
+    assert rep["error"] == error
+
+
 def test_lattice_build_and_identify(capsys, tmp_path):
     code_path = write_code(tmp_path, "de2.txt", de(2))
     lat_path = str(tmp_path / "lat.json")
@@ -413,17 +435,12 @@ def test_error_report_keeps_inputs(capsys, tmp_path):
 
 def test_search_over_node_budget_is_error(capsys, monkeypatch, tmp_path):
     # the canonical search of an order-5 Latin-square-graph code stops at
-    # its node budget, and the request ends as one error report; the
-    # budget is lowered, and the cache cleared before and after, so that
-    # no remembered error spares a later test the walk to the real budget
+    # its node budget, here lowered, and the request ends as one error
+    # report
     monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", 2000)
     path = write_code(tmp_path, "latin5.txt", latin_square_code(5, 0))
-    gf2._canonical_search.cache_clear()
-    try:
-        with within(30):
-            rc = run(["code", "equiv", path, path])
-    finally:
-        gf2._canonical_search.cache_clear()
+    with within(30):
+        rc = run(["code", "equiv", path, path])
     out = capsys.readouterr().out
     assert rc == 1
     assert len(out.splitlines()) == 1

@@ -101,6 +101,7 @@ def test_cover_noether_on_a_grid():
             if (m * 2 ** r) % 8:
                 continue
             res = cover_invariants(y, CoverSpec(r=r, m=m))
+            assert res.cover.c2 == 2 ** r * y.c2 - m * 2 ** r
             for s in (res.cover, res.contracted):
                 assert 12 * s.chi == s.K2 + s.c2
             assert res.contracted.K2 - res.cover.K2 == res.blowdowns

@@ -370,18 +370,12 @@ def test_canonical_form_high_rate_within_budget(n, k):
 def test_latin_square_order_5_stops_at_node_budget(seed):
     # one round of refinement cannot split the cells of a Latin square
     # graph, so the search would run for minutes; it stops at the budget,
-    # in about 2-3 s on a 2-vCPU Xeon VM, and a repeat raises the same
-    # error at once instead of walking the same nodes again
+    # in about 2-3 s on a 2-vCPU Xeon VM
     code = latin_square_code(5, seed)
     assert (code.length, code.dim) == (25, 12)
     stopped = f"stopped at {gf2._SEARCH_NODE_BUDGET + 1} nodes"
-    messages = []
-    for seconds in (30, 0.5):
-        with within(seconds), pytest.raises(gf2.SearchBudgetError,
-                                            match=stopped) as raised:
-            canonical_form(code)
-        messages.append(str(raised.value))
-    assert messages[0] == messages[1]
+    with within(30), pytest.raises(gf2.SearchBudgetError, match=stopped):
+        canonical_form(code)
 
 
 def brute_automorphism_count(code):

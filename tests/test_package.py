@@ -5,7 +5,7 @@ import pytest
 
 import nodalcodes
 from helpers import fresh_python
-from nodalcodes import classify, cli, covers, lattices
+from nodalcodes import classify, cli, covers, gf2, lattices
 
 LAYERS = ("gf2", "lattices", "covers", "classify")
 
@@ -60,3 +60,11 @@ def test_parser_choices_are_the_layer_constants():
 
     assert choices("lattice build", "--scaling") is lattices.SCALINGS
     assert choices("cover invariants", "--kodaira") is covers.KODAIRA
+    # the weight rules are spelled in the parser: gf2 accepts each of them
+    # and nothing else
+    weights = choices("code enumerate", "--weights")
+    for rule in weights:
+        assert gf2._weight_rule(8, rule, 0, 8)(4)
+    assert "div8" not in weights
+    with pytest.raises(ValueError, match="unknown weight rule: 'div8'"):
+        gf2._weight_rule(8, "div8", 0, 8)

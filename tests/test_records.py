@@ -23,8 +23,8 @@ VALIDATED = [
     (GramLattice, dict(rank=2, doubled_gram=((4, -2), (-2, 4)),
                        scaling="unscaled"),
      dict(doubled_gram=((4, -2), (2, 4))), "symmetric"),
-    (InvolutionData, dict(K2_S=8, rho_S=2, D2=0, KD=0, k=4, t=2, rho_Y=6),
-     dict(t=3), "t = 3 but 2 - D"),
+    (InvolutionData, dict(K2_S=8, rho_S=2, D2=0, KD=0),
+     dict(D2=1), "not integral"),
     (InvolutionCase, dict(label="i", k=4, rho_Y=6, K2_Y=4,
                           Y_description="a rational surface"),
      dict(K2_Y=5), "K2_Y = 5 != 10 - rho_Y"),
