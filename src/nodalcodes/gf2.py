@@ -47,23 +47,18 @@ __all__ = [
 ]
 
 
-def _lsb(x: int) -> int:
-    """Index of the lowest set bit of a nonzero int."""
-    return (x & -x).bit_length() - 1
-
-
 def _rref(rows: Iterable[int]) -> Tuple[int, ...]:
     """Reduced row echelon basis (pivots strictly increasing) of a span."""
     pivots: Dict[int, int] = {}
     for w in rows:
         for p, b in pivots.items():
-            if (w >> p) & 1:
+            if w & p:
                 w ^= b
         if w:
-            p = _lsb(w)
-            for q in list(pivots):
-                if (pivots[q] >> p) & 1:
-                    pivots[q] ^= w
+            p = w & -w
+            for q, b in pivots.items():
+                if b & p:
+                    pivots[q] = b ^ w
             pivots[p] = w
     return tuple(pivots[p] for p in sorted(pivots))
 
@@ -82,16 +77,16 @@ class BinaryCode(_BinaryCode):
         self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.length <= MAX_LENGTH:
             raise ValueError(f"length out of range: {self.length}")
-        last_pivot = -1
+        last_pivot = 0
         pivot_mask = 0
         for g in self.generators:
             if not 0 < g < (1 << self.length):
                 raise ValueError(f"generator out of range: {g:#x}")
-            p = _lsb(g)
+            p = g & -g
             if p <= last_pivot:
                 raise ValueError("generator rows are not in echelon order")
             last_pivot = p
-            pivot_mask |= 1 << p
+            pivot_mask |= p
         for g in self.generators:
             if (g & pivot_mask) != (g & -g):
                 raise ValueError("generator matrix is not fully reduced")
@@ -128,17 +123,16 @@ def word_from_string(s: str, length: Optional[int] = None) -> int:
     """Parse '0110...' (coordinate 0 leftmost) into a bitmask int."""
     if length is not None and len(s) != length:
         raise ValueError(f"word {s!r} has length {len(s)}, expected {length}")
-    w = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            w |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"invalid character {ch!r} in word {s!r}")
-    return w
+    # checked first: int(s, 2) also takes signs, "_", spaces, other digits
+    bad = s.strip("01")
+    if bad:
+        raise ValueError(f"invalid character {bad[0]!r} in word {s!r}")
+    return int(s[::-1] or "0", 2)
 
 
 def word_to_string(w: int, length: int) -> str:
-    return "".join("1" if (w >> i) & 1 else "0" for i in range(length))
+    # the 1 above the word keeps its leading zeros; [:0:-1] drops it
+    return format((w & ((1 << length) - 1)) | 1 << length, "b")[:0:-1]
 
 
 def de(n: int) -> BinaryCode:
@@ -164,14 +158,8 @@ def simplex(r: int) -> BinaryCode:
     """
     if not 1 <= r <= 5:
         raise ValueError(f"r out of range: {r}")
-    gens = []
-    for i in range(r):
-        g = 0
-        for v in range(1, 1 << r):
-            if (v >> i) & 1:
-                g |= 1 << (v - 1)
-        gens.append(g)
-    return BinaryCode((1 << r) - 1, tuple(gens))
+    # column v - 1 is v, whose bit i is row r - 1 - i: reversed, the RREF
+    return BinaryCode((1 << r) - 1, _rows(range(1, 1 << r), r)[::-1])
 
 
 def codewords(code: BinaryCode) -> List[int]:
@@ -184,7 +172,7 @@ def codewords(code: BinaryCode) -> List[int]:
 
 def contains(code: BinaryCode, word: int) -> bool:
     for g in code.generators:
-        if (word >> _lsb(g)) & 1:
+        if word & g & -g:
             word ^= g
     return word == 0
 
@@ -220,9 +208,7 @@ def weight_enumerator(code: BinaryCode) -> Dict[int, int]:
 def _dual(code: BinaryCode) -> BinaryCode:
     """The dual code, read off the RREF: for each non-pivot coordinate c,
     e_c plus the pivots of the rows that have c set."""
-    pivots = 0
-    for g in code.generators:
-        pivots |= g & -g
+    pivots = sum(g & -g for g in code.generators)
     rows = []
     for c in range(code.length):
         if not (pivots >> c) & 1:
@@ -259,32 +245,20 @@ def reduce(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
     Returns the shortened code and the tuple of surviving coordinates (the
     support), in increasing order.
     """
-    mask = 0
-    for g in code.generators:
-        mask |= g
-    support = tuple(c for c in range(code.length) if (mask >> c) & 1)
-    gens = []
-    for g in code.generators:
-        w = 0
-        for pos, c in enumerate(support):
-            if (g >> c) & 1:
-                w |= 1 << pos
-        gens.append(w)
-    return BinaryCode(len(support), tuple(gens)), support
+    cols = _columns(code)
+    support = tuple(c for c, col in enumerate(cols) if col)
+    gens = _rows([cols[c] for c in support], code.dim)
+    return BinaryCode(len(support), gens), support
 
 
 def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
     """Apply a coordinate permutation; images[i] is where coordinate i goes."""
     if sorted(images) != list(range(code.length)):
         raise ValueError("images is not a permutation of the coordinates")
-    rows = []
-    for g in code.generators:
-        w = 0
-        for i in range(code.length):
-            if (g >> i) & 1:
-                w |= 1 << images[i]
-        rows.append(w)
-    return make_code(rows, code.length)
+    cols = [0] * code.length
+    for c, col in zip(images, _columns(code)):
+        cols[c] = col
+    return make_code(_rows(cols, code.dim), code.length)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +405,8 @@ def _canonical_search(
 
 def _columns(code: BinaryCode) -> List[int]:
     """Column c of the generator matrix as a dim-bit int, row i at bit
-    dim - 1 - i: the column-major reading of the canonical form."""
+    dim - 1 - i: the column-major reading of the canonical form.  ``_rows``
+    is its inverse."""
     cols = [0] * code.length
     row = 1 << code.dim
     for g in code.generators:
@@ -441,6 +416,18 @@ def _columns(code: BinaryCode) -> List[int]:
             cols[bit.bit_length() - 1] |= row
             g ^= bit
     return cols
+
+
+def _rows(cols: Iterable[int], dim: int) -> Tuple[int, ...]:
+    """The generator rows of a table of dim-bit columns, row i read from
+    bit dim - 1 - i: the inverse of ``_columns``."""
+    rows = [0] * dim
+    for c, col in enumerate(cols):
+        while col:
+            bit = col & -col
+            rows[dim - bit.bit_length()] |= 1 << c
+            col ^= bit
+    return tuple(rows)
 
 
 def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
@@ -592,19 +579,12 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
     descend(0, 0, firsts, table, (1 << r) - 1, False)
     assert best_cols is not None and best_chosen is not None
 
-    canon_gens = []
-    for i in range(r):
-        g = 0
-        for pos, vec in enumerate(best_cols):
-            if (vec >> (r - 1 - i)) & 1:
-                g |= 1 << pos
-        canon_gens.append(g)
     images = [0] * k
     for pos, c in enumerate(best_chosen):
         images[c] = pos
     generators = () if stop is not None else \
         tuple(tuple(a) for a, _ in auts) + tuple(swaps)
-    return BinaryCode(k, tuple(canon_gens)), tuple(images), generators
+    return BinaryCode(k, _rows(best_cols, r)), tuple(images), generators
 
 
 def _find(parent: List[int], x: int) -> int:
@@ -675,14 +655,15 @@ def recognize_de(code: BinaryCode) -> Optional[int]:
     with equal generator-matrix columns, have dimension n - 1, and induce the
     full even-weight code on the n pairs.  The zero code matches de(1).
     """
-    reduced, _ = reduce(code)
-    if reduced.dim == 0:
+    if code.dim == 0:
         return 1
-    m, r = reduced.length, reduced.dim
-    if m % 2 or r != m // 2 - 1:
+    # the support's columns; reduction keeps the dimension
+    cols = [col for col in _columns(code) if col]
+    m = len(cols)
+    if m % 2 or code.dim != m // 2 - 1:
         return None
     sizes: Dict[int, int] = {}
-    for col in _columns(reduced):
+    for col in cols:
         sizes[col] = sizes.get(col, 0) + 1
     # coordinates pair up only within a class of equal columns, so every
     # class must have even size; a class of size 2s carries s pairs
@@ -770,10 +751,10 @@ def enumerate_codes(
         if not levels:
             # the zero code's cosets are the admissible words
             pool = tuple(sorted(
-                sum(1 << i for i in supp)
+                sum(supp)
                 for h in range(4, length + 1, 4)
                 if ok(h)
-                for supp in combinations(range(length), h)
+                for supp in combinations([1 << i for i in range(length)], h)
             ))
             frontier = ((zero, _canonical_search(zero)[2], pool),)
         found: Dict[BinaryCode, Record] = {}

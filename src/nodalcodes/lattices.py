@@ -98,9 +98,9 @@ def construction_a(code: BinaryCode, scaling: str) -> GramLattice:
         raise ValueError("scaling 'unscaled' needs an even-weight code")
 
     # (word, multiplier) pairs; 2<s*a, t*b> = 2st|a & b|, halved for "half"
-    pivots = {(g & -g).bit_length() - 1 for g in code.generators}
+    pivots = sum(g & -g for g in code.generators)
     basis = [(g, 1) for g in code.generators]
-    basis += [(1 << c, 2) for c in range(k) if c not in pivots]
+    basis += [(1 << c, 2) for c in range(k) if not pivots >> c & 1]
     unit = 2 if scaling == "unscaled" else 1
     gram = tuple(
         tuple(unit * s * t * (a & b).bit_count() for b, t in basis)

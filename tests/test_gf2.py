@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from collections import Counter
 from itertools import (combinations, combinations_with_replacement,
@@ -83,12 +84,37 @@ def test_make_code_rejects_bad_input():
         make_code(["11012"], 5)
     with pytest.raises(ValueError):
         make_code([1 << 6], 6)
+    # int(s, 2) takes every one of these; a word takes none, and the error
+    # names the first character that is not 0 or 1
+    for s, bad in [("+0110", "+"), ("-0110", "-"), ("01_10", "_"),
+                   (" 0110", " "), ("0110\n", "\n"),
+                   ("\uff10\uff11\uff11\uff10", "\uff10"),
+                   ("01\u06610", "\u0661")]:
+        message = re.escape(f"invalid character {bad!r}")
+        for length in (None, len(s)):
+            with pytest.raises(ValueError, match=message):
+                word_from_string(s, length)
+        with pytest.raises(ValueError, match=message):
+            make_code([s], len(s))
 
 
 def test_word_string_roundtrip():
     w = word_from_string("01101")
     assert w == 0b10110
     assert word_to_string(w, 5) == "01101"
+    # bits at and above the length are dropped, negative words included
+    assert word_to_string(0b1000, 2) == "00"
+    assert word_to_string(-1, 3) == "111"
+    rng = random.Random(25)
+    for length in range(33):
+        words = [0, (1 << length) - 1] + \
+            [rng.getrandbits(length) for _ in range(20)]
+        for w in words:
+            s = word_to_string(w, length)
+            assert len(s) == length
+            assert word_from_string(s) == word_from_string(s, length) == w
+    assert word_from_string("") == 0
+    assert word_to_string(0, 0) == ""
 
 
 def test_codewords_count_and_membership():
@@ -159,6 +185,57 @@ def test_reduce_zero_code():
     red, support = reduce(zero_code(5))
     assert red.length == 0 and red.dim == 0
     assert support == ()
+
+
+def random_supported_code(rng, length):
+    """A random code on a random support, of any dimension up to 16 that
+    the support allows."""
+    mask = rng.getrandbits(length)
+    dim = rng.randint(0, min(mask.bit_count(), 16))
+    code = zero_code(length)
+    while code.dim < dim:
+        code = make_code(code.generators + (rng.getrandbits(length) & mask,),
+                         length)
+    return code
+
+
+def test_column_helpers_match_word_oracles():
+    rng = random.Random(2025)
+    for length in range(33):
+        for _ in range(3):
+            c = random_supported_code(rng, length)
+            assert gf2._rows(gf2._columns(c), c.dim) == c.generators
+            words = codewords(c)
+
+            images = list(range(length))
+            rng.shuffle(images)
+            moved = {sum(1 << images[i] for i in range(length) if w >> i & 1)
+                     for w in words}
+            assert set(codewords(permute(c, images))) == moved
+
+            union = 0
+            for w in words:
+                union |= w
+            support = tuple(i for i in range(length) if union >> i & 1)
+            restricted = [sum(1 << pos for pos, i in enumerate(support)
+                              if w >> i & 1) for w in words]
+            red, red_support = reduce(c)
+            assert red_support == support
+            assert red == make_code(restricted, len(support))
+            assert red.dim == c.dim
+
+
+def test_simplex_matches_column_loop():
+    for r in range(1, 6):
+        # row i holds the coordinates v - 1 whose v has bit i set
+        gens = []
+        for i in range(r):
+            g = 0
+            for v in range(1, 1 << r):
+                if (v >> i) & 1:
+                    g |= 1 << (v - 1)
+            gens.append(g)
+        assert simplex(r) == BinaryCode((1 << r) - 1, tuple(gens))
 
 
 # --- the doubled even-weight family -----------------------------------------
