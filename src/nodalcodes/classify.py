@@ -439,6 +439,7 @@ class SweepRow(NamedTuple):
     survives: bool
     attained_r: Tuple[int, ...]
     tag: str
+    derivation: Tuple[Step, ...]
 
 
 _SURVIVOR_TAGS = {
@@ -493,6 +494,14 @@ def saturated_node_sweep(rho: int) -> SweepRow:
         survives=bool(attained),
         attained_r=attained,
         tag=tag,
+        derivation=(
+            Step(
+                f"k = rho - 1 = {k} disjoint nodal curves on a rational "
+                f"surface with rho = {rho}: {tag}",
+                "saturated node sweep",
+                {"rho": rho, "r_min": r_min, "attained_r": attained},
+            ),
+        ),
     )
 
 

@@ -9,14 +9,18 @@ Every subcommand prints exactly one JSON report to standard output:
 Exit code 0 means ok, 2 means a successfully derived impossibility (the
 mathematics says "no such surface/involution"), 1 means tool failure.  A
 status of "error" always comes with empty outputs and a top-level "error"
-message.
+message.  The one output that is not a report is `--help`, at any level:
+argparse's usage text, with exit code 0.
 
 Each subcommand is declared once, by the `_command` decorator on its
 handler: its name, its help text and its argparse arguments.
 `_build_parser` builds every group and leaf parser from that table.  A
-report's inputs are the parsed arguments, minus the dispatch fields, for
-ok and error reports alike; when parsing fails (a bad value, an unknown
-group, a missing leaf) they are {"argv": [...]}.
+handler returns its outputs, a library record or a dict, and a status.
+`run` turns that into the report: the outputs as JSON values, with their
+top-level "derivation" entry, the steps the record carries, moved out to
+be the report's trail.  A report's inputs are the parsed arguments, minus
+the dispatch fields, for ok and error reports alike; when parsing fails
+(a bad value, an unknown group, a missing leaf) they are {"argv": [...]}.
 
 `code enumerate` optionally persists its results as a JSONL cache: a stamp
 line (package version, algorithm id, code count), then one JSON object per
@@ -40,13 +44,12 @@ from typing import (
 from . import KODAIRA, MAX_LENGTH, SCALINGS, __version__
 
 if TYPE_CHECKING:
-    from .covers import Step
     from .gf2 import BinaryCode
 
 __all__ = ["run", "main"]
 
-# what a handler returns: outputs, derivation, status
-Result = Tuple[Dict[str, object], List["Step"], str]
+# what a handler returns: outputs (a library record or a dict), status
+Result = Tuple[object, str]
 Handler = Callable[[argparse.Namespace], Result]
 
 # "group leaf" -> (handler, help, add_argument parameters), in --help order.
@@ -185,7 +188,7 @@ def _write_cache(path: Path, lines: List[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns outputs, derivation, status)
+# subcommand handlers (each returns outputs, status)
 # ---------------------------------------------------------------------------
 
 
@@ -202,10 +205,10 @@ def _code_analyze(args: argparse.Namespace) -> Result:
         "is_even": gf2.is_even(code),
         "is_doubly_even": gf2.is_doubly_even(code),
         "reduced_length": reduced.length,
-        "reduced_support": list(support),
+        "reduced_support": support,
         "de_n": gf2.recognize_de(code),
     }
-    return outputs, [], "ok"
+    return outputs, "ok"
 
 
 @_command("code de", "the doubled even-weight code on 2n coordinates",
@@ -213,7 +216,7 @@ def _code_analyze(args: argparse.Namespace) -> Result:
 def _code_de(args: argparse.Namespace) -> Result:
     from . import gf2
 
-    return _code_dict(gf2.de(args.n)), [], "ok"
+    return _code_dict(gf2.de(args.n)), "ok"
 
 
 @_command("code equiv", "decide coordinate-permutation equivalence",
@@ -224,11 +227,7 @@ def _code_equiv(args: argparse.Namespace) -> Result:
     a = _load_code(args.a)
     b = _load_code(args.b)
     perm = gf2.equivalent(a, b)
-    outputs = {
-        "equivalent": perm is not None,
-        "permutation": list(perm) if perm is not None else None,
-    }
-    return outputs, [], "ok"
+    return {"equivalent": perm is not None, "permutation": perm}, "ok"
 
 
 @_command("code enumerate",
@@ -264,7 +263,7 @@ def _code_enumerate(args: argparse.Namespace) -> Result:
         "codes": [json.loads(line) for line in lines],
         "cache_file": str(cache_file) if cache_file is not None else None,
     }
-    return outputs, [], "ok"
+    return outputs, "ok"
 
 
 @_command("code recognize-de",
@@ -273,7 +272,7 @@ def _code_recognize_de(args: argparse.Namespace) -> Result:
     from . import gf2
 
     n = gf2.recognize_de(_load_code(args.file))
-    return {"n": n, "essentially_de": n is not None}, [], "ok"
+    return {"n": n, "essentially_de": n is not None}, "ok"
 
 
 @_command("lattice build", "Construction-A lattice of a code",
@@ -291,7 +290,7 @@ def _lattice_build(args: argparse.Namespace) -> Result:
         Path(args.out).write_text(text + "\n")
     outputs = json.loads(text)
     outputs["out"] = args.out
-    return outputs, [], "ok"
+    return outputs, "ok"
 
 
 @_command("lattice identify", "root system type and discriminant",
@@ -300,9 +299,9 @@ def _lattice_identify(args: argparse.Namespace) -> Result:
     from . import lattices
 
     lat = lattices.lattice_from_json(Path(args.file).read_text())
-    outputs = {**_plain(lattices.identify_root_system(lat)),
+    outputs = {**lattices.identify_root_system(lat)._asdict(),
                "discriminant": str(lattices.discriminant(lat))}
-    return outputs, [], "ok"
+    return outputs, "ok"
 
 
 @_command("cover invariants",
@@ -320,24 +319,8 @@ def _cover_invariants(args: argparse.Namespace) -> Result:
     base = covers.SurfaceInvariants(
         chi=args.chi, K2=args.k2, kodaira=args.kodaira
     )
-    result = covers.cover_invariants(
-        base, covers.CoverSpec(r=args.r, m=args.m)
-    )
-    steps = [
-        covers.Step(
-            "chi and K^2 of the smooth cover branched on the m nodal "
-            "curves follow from the degree-2^r formulas",
-            "cover invariant formulas",
-            {"chi": result.cover.chi, "K2": result.cover.K2},
-        ),
-        covers.Step(
-            "contracting the preimages of the branch curves blows down "
-            "m * 2^(r-1) exceptional curves",
-            "branch preimage count",
-            {"blowdowns": result.blowdowns, "K2": result.contracted.K2},
-        ),
-    ]
-    return _plain(result), steps, "ok"
+    spec = covers.CoverSpec(r=args.r, m=args.m)
+    return covers.cover_invariants(base, spec), "ok"
 
 
 @_command("bound isotropic",
@@ -348,16 +331,14 @@ def _bound_isotropic(args: argparse.Namespace) -> Result:
     from . import covers
 
     bound = covers.isotropic_bound(args.k, args.rho)
-    steps = [
-        covers.Step(
-            "an isotropic subspace of a rank-rho quadratic space has "
-            "dimension at most rho // 2, so the code rank is at least "
-            "k - rho // 2",
-            "isotropic dimension bound",
-            {"k": args.k, "rho": args.rho, "bound": bound},
-        )
-    ]
-    return {"bound": bound}, steps, "ok"
+    step = covers.Step(
+        "an isotropic subspace of a rank-rho quadratic space has "
+        "dimension at most rho // 2, so the code rank is at least "
+        "k - rho // 2",
+        "isotropic dimension bound",
+        {"k": args.k, "rho": args.rho, "bound": bound},
+    )
+    return {"bound": bound, "derivation": [step]}, "ok"
 
 
 @_command("bound miyaoka",
@@ -367,16 +348,7 @@ def _bound_isotropic(args: argparse.Namespace) -> Result:
 def _bound_miyaoka(args: argparse.Namespace) -> Result:
     from . import covers
 
-    nb = covers.miyaoka_max_nodes(args.k2, args.c2)
-    outputs = {"max_nodes": nb.max_nodes, "assumptions": list(nb.assumptions)}
-    steps = [
-        covers.Step(
-            "the number of nodes is at most 2(3 c2 - K^2)/9",
-            "orbifold Bogomolov-Miyaoka-Yau inequality",
-            {"k2": args.k2, "c2": args.c2, "max_nodes": nb.max_nodes},
-        )
-    ]
-    return outputs, steps, "ok"
+    return covers.miyaoka_max_nodes(args.k2, args.c2), "ok"
 
 
 @_command("bound min-m",
@@ -386,16 +358,14 @@ def _bound_min_m(args: argparse.Namespace) -> Result:
     from . import covers
 
     value = covers.min_m_for_r(args.r)
-    steps = [
-        covers.Step(
-            "each of the m covered coordinates lies in 2^(r-1) words and "
-            "each of the 2^r - 1 nonzero words has weight >= 4, so "
-            "m >= 8 (2^r - 1) / 2^r",
-            "weight counting in the rank-r cover code",
-            {"r": args.r, "min_m": value},
-        )
-    ]
-    return {"min_m": value}, steps, "ok"
+    step = covers.Step(
+        "each of the m covered coordinates lies in 2^(r-1) words and "
+        "each of the 2^r - 1 nonzero words has weight >= 4, so "
+        "m >= 8 (2^r - 1) / 2^r",
+        "weight counting in the rank-r cover code",
+        {"r": args.r, "min_m": value},
+    )
+    return {"min_m": value, "derivation": [step]}, "ok"
 
 
 @_command("classify involution",
@@ -411,7 +381,7 @@ def _classify_involution(args: argparse.Namespace) -> Result:
         if all(c.label == "contradiction" for c in cases)
         else "ok"
     )
-    return {"cases": _plain(cases)}, steps, status
+    return {"cases": cases, "derivation": steps}, status
 
 
 @_command("classify fibers",
@@ -422,21 +392,18 @@ def _classify_fibers(args: argparse.Namespace) -> Result:
     from . import classify
 
     multisets = classify.fiber_budget(args.euler, args.nodes)
-    steps = [
-        classify.Step(
-            "fiber Euler numbers sum to at most the total while nodal "
-            "capacities sum to exactly the required nodes",
-            "Euler number budget of a relatively minimal elliptic "
-            "fibration",
-            {"euler": args.euler, "nodes": args.nodes,
-             "count": len(multisets)},
-        )
-    ]
+    step = classify.Step(
+        "fiber Euler numbers sum to at most the total while nodal "
+        "capacities sum to exactly the required nodes",
+        "Euler number budget of a relatively minimal elliptic fibration",
+        {"euler": args.euler, "nodes": args.nodes, "count": len(multisets)},
+    )
     outputs = {
         "count": len(multisets),
         "multisets": [[f.kind for f in ms] for ms in multisets],
+        "derivation": [step],
     }
-    return outputs, steps, "ok"
+    return outputs, "ok"
 
 
 @_command("classify kr-pairs",
@@ -444,17 +411,15 @@ def _classify_fibers(args: argparse.Namespace) -> Result:
 def _classify_kr_pairs(args: argparse.Namespace) -> Result:
     from . import classify
 
-    pairs = [list(p) for p in sorted(classify.feasible_kr_pairs())]
-    steps = [
-        classify.Step(
-            "exhaustive enumeration of all-weight-4 codes of length "
-            "k = rho - 2 for 5 <= rho <= 10 under the isotropic rank "
-            "bound and m < 8",
-            "code enumeration",
-            {"pairs": pairs},
-        )
-    ]
-    return {"pairs": pairs}, steps, "ok"
+    pairs = sorted(classify.feasible_kr_pairs())
+    step = classify.Step(
+        "exhaustive enumeration of all-weight-4 codes of length "
+        "k = rho - 2 for 5 <= rho <= 10 under the isotropic rank "
+        "bound and m < 8",
+        "code enumeration",
+        {"pairs": pairs},
+    )
+    return {"pairs": pairs, "derivation": [step]}, "ok"
 
 
 @_command("classify thm-mt",
@@ -464,16 +429,7 @@ def _classify_thm_mt(args: argparse.Namespace) -> Result:
     from . import classify
 
     row = classify.saturated_node_sweep(args.rho)
-    steps = [
-        classify.Step(
-            f"k = rho - 1 = {row.k} disjoint nodal curves on a rational "
-            f"surface with rho = {row.rho}: {row.tag}",
-            "saturated node sweep",
-            {"rho": row.rho, "r_min": row.r_min,
-             "attained_r": list(row.attained_r)},
-        )
-    ]
-    return _plain(row), steps, "ok" if row.survives else "contradiction"
+    return row, "ok" if row.survives else "contradiction"
 
 
 @_command("classify small-rho",
@@ -482,8 +438,7 @@ def _classify_thm_mt(args: argparse.Namespace) -> Result:
 def _classify_small_rho(args: argparse.Namespace) -> Result:
     from . import classify
 
-    cases = classify.small_rho_cases(args.rho)
-    return {"cases": _plain(cases)}, [], "ok"
+    return {"cases": classify.small_rho_cases(args.rho)}, "ok"
 
 
 @_command("solve md", "positive solutions of d m = m + 2 d")
@@ -491,15 +446,13 @@ def _solve_md(args: argparse.Namespace) -> Result:
     from . import classify
 
     sols = classify.solve_md()
-    steps = [
-        classify.Step(
-            "d m = m + 2 d rewrites as (d - 1)(m - 2) = 2; the two "
-            "factorizations of 2 give all positive solutions",
-            "pencil Diophantine equation",
-            {"solutions": [[s.m, s.d] for s in sols]},
-        )
-    ]
-    return {"solutions": _plain(sols)}, steps, "ok"
+    step = classify.Step(
+        "d m = m + 2 d rewrites as (d - 1)(m - 2) = 2; the two "
+        "factorizations of 2 give all positive solutions",
+        "pencil Diophantine equation",
+        {"solutions": [[s.m, s.d] for s in sols]},
+    )
+    return {"solutions": sols, "derivation": [step]}, "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -536,64 +489,45 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
+# the exit code of each report status
+_EXIT = {"ok": 0, "error": 1, "contradiction": 2}
+
+
 def _render(report: Dict[str, object], pretty: bool) -> str:
     return json.dumps(report, indent=2 if pretty else None) + "\n"
-
-
-def _emit(report: Dict[str, object], pretty: bool) -> None:
-    sys.stdout.write(_render(report, pretty))
-
-
-def _error_report(command: str, inputs: Dict[str, object],
-                  message: str) -> Dict[str, object]:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": {},
-        "derivation": [],
-        "error": message,
-        "status": "error",
-    }
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute one subcommand, print one JSON report."""
     args_list = list(sys.argv[1:] if argv is None else argv)
-    # a usage error has no parsed arguments: its inputs are the raw argv
-    unparsed = (" ".join(args_list[:2]), {"argv": args_list})
+    # until the arguments parse, the inputs are the raw argv
+    head = {"command": " ".join(args_list[:2]), "inputs": {"argv": args_list}}
+    pretty = False
     try:
         args = _build_parser().parse_args(args_list)
-    except _UsageError as exc:
-        _emit(_error_report(*unparsed, str(exc)), pretty=False)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    pretty = getattr(args, "pretty", False)
-    if not hasattr(args, "handler"):
-        _emit(_error_report(*unparsed, "missing subcommand (see --help)"),
-              pretty)
-        return 1
-    # the parsed arguments, minus the fields that only dispatch
-    inputs = {
-        name: value for name, value in vars(args).items()
-        if name not in ("handler", "command", "pretty", "group")
-    }
-    try:
-        outputs, steps, status = args.handler(args)
+        pretty = getattr(args, "pretty", False)
+        if not hasattr(args, "handler"):
+            raise _UsageError("missing subcommand (see --help)")
+        # the parsed arguments, minus the fields that only dispatch
+        head = {"command": args.command, "inputs": {
+            name: value for name, value in vars(args).items()
+            if name not in ("handler", "command", "pretty", "group")
+        }}
+        outputs, status = args.handler(args)
+        outputs = _plain(outputs)
+        trail = outputs.pop("derivation", [])
         # serialized before anything is written: an int too long for str()
         # raises ValueError here, and the request ends as an error report
-        text = _render({
-            "command": args.command,
-            "inputs": inputs,
-            "outputs": outputs,
-            "derivation": _plain(steps),
-            "status": status,
-        }, pretty)
-    except (ValueError, OSError) as exc:
-        _emit(_error_report(args.command, inputs, str(exc)), pretty)
-        return 1
+        text = _render({**head, "outputs": outputs, "derivation": trail,
+                        "status": status}, pretty)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except (_UsageError, ValueError, OSError) as exc:
+        status = "error"
+        text = _render({**head, "outputs": {}, "derivation": [],
+                        "error": str(exc), "status": status}, pretty)
     sys.stdout.write(text)
-    return 0 if status == "ok" else 2
+    return _EXIT[status]
 
 
 def main() -> None:

@@ -45,7 +45,8 @@ __all__ = [
 
 
 class Step(NamedTuple):
-    """One link of a derivation chain, serialized into CLI reports."""
+    """One link of the derivation chain a record carries in `derivation`
+    and a CLI report prints as its trail."""
 
     claim: str
     reference: str
@@ -120,6 +121,7 @@ class CoverResult(NamedTuple):
     contracted: SurfaceInvariants  # Zbar, branch-curve preimages blown down
     blowdowns: int                 # number of (-1)-curves contracted, m 2^(r-1)
     warnings: Tuple[str, ...]
+    derivation: Tuple[Step, ...]
 
 
 def cover_invariants(y: SurfaceInvariants, spec: CoverSpec) -> CoverResult:
@@ -148,13 +150,29 @@ def cover_invariants(y: SurfaceInvariants, spec: CoverSpec) -> CoverResult:
             "ruled one; no such cover exists"
         )
 
+    blowdowns = m * 2 ** (r - 1) if r else 0
+    k2_contracted = 2 ** r * y.K2
     # Noether fills in c_2; for the cover it is 2^r c_2(Y) - m 2^r
     return CoverResult(
         cover=SurfaceInvariants(chi=chi, K2=k2_cover, kodaira=y.kodaira),
-        contracted=SurfaceInvariants(chi=chi, K2=2 ** r * y.K2,
+        contracted=SurfaceInvariants(chi=chi, K2=k2_contracted,
                                      kodaira=y.kodaira),
-        blowdowns=m * 2 ** (r - 1) if r else 0,
+        blowdowns=blowdowns,
         warnings=tuple(warnings),
+        derivation=(
+            Step(
+                "chi and K^2 of the smooth cover branched on the m nodal "
+                "curves follow from the degree-2^r formulas",
+                "cover invariant formulas",
+                {"chi": chi, "K2": k2_cover},
+            ),
+            Step(
+                "contracting the preimages of the branch curves blows down "
+                "m * 2^(r-1) exceptional curves",
+                "branch preimage count",
+                {"blowdowns": blowdowns, "K2": k2_contracted},
+            ),
+        ),
     )
 
 
@@ -207,6 +225,7 @@ def isotropic_bound(k: int, rho: int) -> int:
 class NodeBound(NamedTuple):
     max_nodes: int
     assumptions: Tuple[str, ...]
+    derivation: Tuple[Step, ...]
 
 
 def miyaoka_max_nodes(K2: int, c2: int) -> NodeBound:
@@ -232,5 +251,12 @@ def miyaoka_max_nodes(K2: int, c2: int) -> NodeBound:
         assumptions=(
             "surface is minimal",
             "kodaira dimension is non-negative",
+        ),
+        derivation=(
+            Step(
+                "the number of nodes is at most 2(3 c2 - K^2)/9",
+                "orbifold Bogomolov-Miyaoka-Yau inequality",
+                {"k2": K2, "c2": c2, "max_nodes": bound},
+            ),
         ),
     )

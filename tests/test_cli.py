@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ from helpers import fresh_python, latin_square_code, within
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalcodes import __version__, gf2
-from nodalcodes.cli import _cache_lines, run
+from nodalcodes import __version__, classify, covers, gf2
+from nodalcodes.cli import _cache_lines, _plain, run
 from nodalcodes.gf2 import de, format_code, permute, simplex
 
 
@@ -49,6 +50,14 @@ def test_code_de_too_long_is_error(capsys):
 def test_report_round_trips(capsys):
     rc, rep = invoke(capsys, "classify", "involution", "--k2", "8")
     assert rep == json.loads(json.dumps(rep))
+
+
+def test_help_is_argparse_usage(capsys):
+    # the one output that is not a JSON report
+    for argv in (["--help"], ["code", "equiv", "--help"]):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: nodalcodes {' '.join(argv[:-1])}")
 
 
 def test_pretty_flag(capsys):
@@ -258,6 +267,19 @@ def test_enumerate_planted_empty_cache_keeps_argument_checks(
     assert rep["error"] == error
 
 
+def test_enumerate_unwritable_cache_is_error(capsys, tmp_path):
+    # the cache file's name taken by a directory: the new file cannot
+    # replace it, the request ends as one error report, and the temporary
+    # file is removed
+    (tmp_path / "enumerate_len7_w4_dim1-7.jsonl").mkdir()
+    rc = run([*ENUMERATE_7, "--cache", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["status"] == "error"
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
 def test_lattice_build_and_identify(capsys, tmp_path):
     code_path = write_code(tmp_path, "de2.txt", de(2))
     lat_path = str(tmp_path / "lat.json")
@@ -342,6 +364,55 @@ def test_miyaoka_impossible_chern_numbers_is_error(capsys):
     assert rep["outputs"] == {}
     assert rep["inputs"] == {"k2": 0, "c2": -5}
     assert "12" in rep["error"]
+
+
+# --- the record's derivation is the report's trail ---------------------------
+
+
+def trail_values(capsys, record, *argv):
+    """The values of record's steps, once the report of argv is checked
+    to carry them as its trail and nowhere else."""
+    rc, rep = invoke(capsys, *argv)
+    assert rc in (0, 2)
+    assert rep["derivation"] == _plain(record.derivation)
+    assert "derivation" not in rep["outputs"]
+    return [step.values for step in record.derivation]
+
+
+def test_cover_trail_is_the_records(capsys):
+    # every valid (r, m) with m <= 8: r = 0 goes with m = 0, and chi is
+    # integral when 2^r m is divisible by 8
+    specs = [(r, m) for m in range(9) for r in range(min(m, 1), m + 1)
+             if 2 ** r * m % 8 == 0]
+    for chi, k2, (r, m) in product((1, 2), (0, 4, 8), specs):
+        res = covers.cover_invariants(covers.SurfaceInvariants(chi=chi, K2=k2),
+                                      covers.CoverSpec(r=r, m=m))
+        assert trail_values(
+            capsys, res, "cover", "invariants", "--chi", str(chi),
+            "--k2", str(k2), "--r", str(r), "--m", str(m),
+        ) == [{"chi": res.cover.chi, "K2": res.cover.K2},
+              {"blowdowns": res.blowdowns, "K2": res.contracted.K2}]
+
+
+def test_miyaoka_trail_is_the_records(capsys):
+    for k2 in range(10):
+        # Noether and Bogomolov-Miyaoka-Yau: 12 | K^2 + c2 and K^2 <= 3 c2
+        for c2 in range(-k2 % 12, 40, 12):
+            if k2 <= 3 * c2:
+                nb = covers.miyaoka_max_nodes(k2, c2)
+                assert trail_values(
+                    capsys, nb, "bound", "miyaoka", "--k2", str(k2),
+                    "--c2", str(c2),
+                ) == [{"k2": k2, "c2": c2, "max_nodes": nb.max_nodes}]
+
+
+def test_sweep_trail_is_the_records(capsys):
+    for rho in range(2, 15):
+        row = classify.saturated_node_sweep(rho)
+        assert trail_values(
+            capsys, row, "classify", "thm-mt", "--rho", str(rho),
+        ) == [{"rho": row.rho, "r_min": row.r_min,
+               "attained_r": row.attained_r}]
 
 
 def test_classify_involution_9_contradiction(capsys):
@@ -460,6 +531,19 @@ def test_lattice_non_integer_rank_is_error(capsys, tmp_path, rank):
     assert rep["status"] == "error"
     assert rep["outputs"] == {}
     assert "rank" in rep["error"]
+
+
+def test_lattice_over_root_rank_limit_is_error(capsys, tmp_path):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({
+        "rank": 17, "scaling": "unscaled",
+        "doubled_gram": [[4 * (i == j) for j in range(17)]
+                         for i in range(17)]}))
+    rc = run(["lattice", "identify", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == "rank 17 exceeds root-search limit 16"
 
 
 @pytest.mark.parametrize("gram", [[[4.7, 0], [0, "4"]], [[True, 0], [0, 4]]])

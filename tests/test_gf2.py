@@ -84,6 +84,8 @@ def test_make_code_rejects_bad_input():
         make_code(["11012"], 5)
     with pytest.raises(ValueError):
         make_code([1 << 6], 6)
+    with pytest.raises(ValueError, match="has length 4, expected 3"):
+        word_from_string("0110", 3)
     # int(s, 2) takes every one of these; a word takes none, and the error
     # names the first character that is not 0 or 1
     for s, bad in [("+0110", "+"), ("-0110", "-"), ("01_10", "_"),
@@ -223,6 +225,8 @@ def test_column_helpers_match_word_oracles():
             assert red_support == support
             assert red == make_code(restricted, len(support))
             assert red.dim == c.dim
+    with pytest.raises(ValueError, match="not a permutation"):
+        permute(de(2), [0, 0, 1, 2])
 
 
 def test_simplex_matches_column_loop():
@@ -236,6 +240,9 @@ def test_simplex_matches_column_loop():
                     g |= 1 << (v - 1)
             gens.append(g)
         assert simplex(r) == BinaryCode((1 << r) - 1, tuple(gens))
+    for r in (0, 6):
+        with pytest.raises(ValueError, match="r out of range"):
+            simplex(r)
 
 
 # --- the doubled even-weight family -----------------------------------------
@@ -885,6 +892,11 @@ def test_recognize_de_permuted_and_padded():
 
 def test_recognize_de_rejects_simplex():
     assert recognize_de(simplex(3)) is None
+    # the length and dimension of de(3), but each class of equal columns
+    # has three coordinates, which do not pair up
+    c = make_code(["111000", "000111"], 6)
+    assert recognize_de(c) is None
+    assert equivalent(c, de(3)) is None
 
 
 def test_recognize_de_unobvious_generating_set():

@@ -16,20 +16,36 @@ from nodalcodes.lattices import GramLattice
 VALIDATED = [
     (BinaryCode, dict(length=4, generators=(3, 12)),
      dict(generators=(3, 6)), "not fully reduced"),
+    (BinaryCode, dict(length=4, generators=(3, 12)),
+     dict(length=40, generators=()), "length out of range: 40"),
+    (BinaryCode, dict(length=4, generators=(3, 12)),
+     dict(generators=(16,)), "generator out of range: 0x10"),
+    (BinaryCode, dict(length=4, generators=(3, 12)),
+     dict(generators=(2, 1)), "not in echelon order"),
     (SurfaceInvariants, dict(chi=1, K2=8),
      dict(c2=5), "Noether fails"),
     (CoverSpec, dict(r=1, m=4),
      dict(m=0), "needs branch curves"),
+    (CoverSpec, dict(r=1, m=4),
+     dict(m=-1), "m must be non-negative: -1"),
     (GramLattice, dict(rank=2, doubled_gram=((4, -2), (-2, 4)),
                        scaling="unscaled"),
      dict(doubled_gram=((4, -2), (2, 4))), "symmetric"),
+    (GramLattice, dict(rank=2, doubled_gram=((4, -2), (-2, 4)),
+                       scaling="unscaled"),
+     dict(rank=0, doubled_gram=()), "rank must be positive: 0"),
     (InvolutionData, dict(K2_S=8, rho_S=2, D2=0, KD=0),
      dict(D2=1), "not integral"),
     (InvolutionCase, dict(label="i", k=4, rho_Y=6, K2_Y=4,
                           Y_description="a rational surface"),
      dict(K2_Y=5), "K2_Y = 5 != 10 - rho_Y"),
 ]
-IDS = [cls.__name__ for cls, *_ in VALIDATED]
+# a class's first input is named after the class, a later one also after
+# the error it expects
+IDS = []
+for cls, good, bad, message in VALIDATED:
+    name = cls.__name__
+    IDS.append(f"{name}: {message}" if name in IDS else name)
 
 
 def both_ways(cls, fields):
