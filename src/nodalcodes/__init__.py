@@ -21,12 +21,13 @@ _LAYERS = ("gf2", "lattices", "covers", "classify")
 
 __all__ = [*_LAYERS, "__version__"]
 
-# the choices of two CLI options and the code-length limit, defined here so
-# that building the parser, or a cover request, loads no other layer;
+# the choices of two CLI options and two limits, defined here so that
+# building the parser, or a cover request, loads no other layer;
 # lattices, covers and gf2 re-export them under these names
 SCALINGS = ("unscaled", "half")
 KODAIRA = ("minus_infinity", "zero", "one", "two", "unknown")
 MAX_LENGTH = 32
+MAX_ROOT_RANK = 16
 
 
 def __getattr__(name: str):

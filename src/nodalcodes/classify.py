@@ -155,14 +155,14 @@ def _classify_k2_9() -> Tuple[InvolutionCase, ...]:
         ),
     ]
     r = _canonical_multiple(9, 1)
+    data = InvolutionData(9, 1, 1, r * 1)
     steps.append(
         Step(
             "K ~ r D with r^2 D^2 = K^2 = 9 gives r = 3, hence K.D = 3",
             "exact rational solution of r^2 D^2 = K^2",
-            {"r": r, "KD": r * 1},
+            {"r": r, "KD": data.KD},
         )
     )
-    data = InvolutionData(9, 1, 1, 3)
     steps.append(
         Step(
             "k = K.D + 4 = 7 and rho_S + t = 2 rho_Y - 2 k give rho_Y = 8",

@@ -41,7 +41,7 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
-from . import KODAIRA, MAX_LENGTH, SCALINGS, __version__
+from . import KODAIRA, MAX_LENGTH, MAX_ROOT_RANK, SCALINGS, __version__
 
 if TYPE_CHECKING:
     from .gf2 import BinaryCode
@@ -294,7 +294,8 @@ def _lattice_build(args: argparse.Namespace) -> Result:
 
 
 @_command("lattice identify", "root system type and discriminant",
-          _arg("file"))
+          _arg("file", help=f"lattice JSON; a rank above {MAX_ROOT_RANK}, "
+                            "the root search's limit, is an error"))
 def _lattice_identify(args: argparse.Namespace) -> Result:
     from . import lattices
 

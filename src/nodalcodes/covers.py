@@ -141,7 +141,8 @@ def cover_invariants(y: SurfaceInvariants, spec: CoverSpec) -> CoverResult:
             f"requires m {'divisible by 4' if r == 1 else 'even'}"
         )
     chi = eight_chi // 8
-    k2_cover = 2 ** r * y.K2 - (m * 2 ** (r - 1) if r else 0)
+    blowdowns = m * 2 ** (r - 1) if r else 0
+    k2_cover = 2 ** r * y.K2 - blowdowns
 
     warnings = []
     if y.kodaira == "minus_infinity" and chi > 1:
@@ -150,7 +151,6 @@ def cover_invariants(y: SurfaceInvariants, spec: CoverSpec) -> CoverResult:
             "ruled one; no such cover exists"
         )
 
-    blowdowns = m * 2 ** (r - 1) if r else 0
     k2_contracted = 2 ** r * y.K2
     # Noether fills in c_2; for the cover it is 2^r c_2(Y) - m 2^r
     return CoverResult(

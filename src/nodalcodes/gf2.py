@@ -360,7 +360,7 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
 Generators = Tuple[Tuple[int, ...], ...]
 
 # Far above one process's traffic: a perfbench enumerate pass holds 154-155
-# entries, an equiv pass 196, 98 of them from stopped searches, and a cold
+# entries, an equiv pass 184, 92 of them from stopped searches, and a cold
 # length-16 "div4" enumeration 570.
 _SEARCH_CACHE_SIZE = 4096
 
@@ -391,14 +391,14 @@ def _canonical_search(
     ``_SEARCH_NODE_BUDGET`` nodes; results do not depend on the budget.
 
     With ``stop``, the search ends at its first best leaf at or below
-    stop's matrix; the entry holds that leaf and no generators, at both
-    levels of the dual switch, and only ``equivalent`` reads it.  Call a
-    full search with ``code`` alone: the cache keys ``f(x)`` and
-    ``f(x, None)`` apart.
+    stop's matrix; the entry holds that leaf and no generators, and only
+    ``equivalent`` reads it.  Call a full search with ``code`` alone: the
+    cache keys ``f(x)`` and ``f(x, None)`` apart.  One search leaves one
+    entry, also when it runs on the duals.
     """
     if 2 * code.dim > code.length:
-        duals = [_dual(c) for c in (code, stop) if c is not None]
-        canon, images, auts = _canonical_search(*duals)
+        canon, images, auts = _search(
+            _dual(code), None if stop is None else _dual(stop))
         return _dual(canon), images, auts
     return _search(code, stop)
 
@@ -703,15 +703,6 @@ Cosets = Tuple[int, ...]
 # form, with generators of its automorphism group and its admissible cosets.
 Record = Tuple[BinaryCode, Generators, Cosets]
 
-# The enumeration of each (length, weight rule) so far, kept for the life of
-# the process: the classes of dimensions 1, 2, ... found so far, and the
-# records of the last of them, whose children are not yet known.  An empty
-# frontier after a level means the enumeration is complete.
-_LEVELS: Dict[
-    Tuple[int, str],
-    Tuple[Tuple[Tuple[BinaryCode, ...], ...], Tuple[Record, ...]],
-] = {}
-
 
 def enumerate_codes(
     length: int,
@@ -732,45 +723,50 @@ def enumerate_codes(
     returned, so no base is searched again, and with its admissible
     cosets, inherited from its base, so only the zero code reads the words
     of admissible weight.
-    The process keeps, per length and rule, the classes found so far and
-    the records of the deepest dimension: a deeper call resumes from them,
-    and a shallower or repeated call reads the classes it asks for.
-    Measured reach of "div4" from a cold cache on a 2-vCPU Xeon VM
-    (Python 3.11): about 0.03-0.04 s at length 13, 0.08-0.1 s at 14,
+    The levels are cached per (length, rule, min(dim_max, length)), so a
+    repeated call searches nothing; a call that stops part way caches
+    nothing.  Measured reach of "div4" from a cold cache on a 2-vCPU Xeon
+    VM (Python 3.11): about 0.03-0.04 s at length 13, 0.08-0.1 s at 14,
     0.17-0.21 s at 15, 0.84-0.95 s at 16, where both doubly even self-dual
     classes (e8 + e8 and d16+) appear, 1.6-1.8 s at 17 and 5.5-6.5 s at
     18.
     """
-    ok = _weight_rule(length, weights, dim_min, dim_max)
+    _weight_rule(length, weights, dim_min, dim_max)
+    levels = _levels(length, weights, min(dim_max, length))
+    out = [zero_code(length)] if dim_min == 0 else []
+    for level in levels[max(dim_min, 1) - 1:]:
+        out.extend(level)
+    return out
 
-    key = length, weights
+
+# unbounded: two rules and depth <= length <= MAX_LENGTH bound the keys
+@lru_cache(maxsize=None)
+def _levels(length: int, weights: str, depth: int
+            ) -> Tuple[Tuple[BinaryCode, ...], ...]:
+    """The classes of dimensions 1..depth, one tuple per dimension, ending
+    at the first dimension that has none."""
+    if not depth:
+        return ()
+    ok = _weight_rule(length, weights, 0, depth)
     zero = zero_code(length)
-    # levels[d - 1] holds the classes of dimension d
-    levels, frontier = _LEVELS.get(key, ((), ()))
-    while len(levels) < dim_max and (frontier or not levels):
-        if not levels:
-            # the zero code's cosets are the admissible words
-            pool = tuple(sorted(
-                sum(supp)
-                for h in range(4, length + 1, 4)
-                if ok(h)
-                for supp in combinations([1 << i for i in range(length)], h)
-            ))
-            frontier = ((zero, _canonical_search(zero)[2], pool),)
+    # the zero code's cosets are the admissible words
+    pool = tuple(sorted(
+        sum(supp)
+        for h in range(4, length + 1, 4)
+        if ok(h)
+        for supp in combinations([1 << i for i in range(length)], h)
+    ))
+    frontier = ((zero, _canonical_search(zero)[2], pool),)
+    levels = []
+    while len(levels) < depth:
         found: Dict[BinaryCode, Record] = {}
         for base, generators, cosets in frontier:
             _extensions(base, generators, cosets, found)
-        level = tuple(sorted(found, key=lambda canon: canon.generators))
-        levels += (level,)
-        frontier = tuple(found[canon] for canon in level)
-        # one assignment per level, so an interrupted level leaves the
-        # entry as the last completed one
-        _LEVELS[key] = levels, frontier
-
-    out = [zero] if dim_min == 0 else []
-    for level in levels[max(dim_min, 1) - 1:dim_max]:
-        out.extend(level)
-    return out
+        if not found:
+            break
+        levels.append(tuple(sorted(found, key=lambda c: c.generators)))
+        frontier = tuple(found[canon] for canon in levels[-1])
+    return tuple(levels)
 
 
 def _extensions(

@@ -17,14 +17,12 @@ import json
 from math import isqrt, lcm
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
-from . import SCALINGS
+from . import MAX_ROOT_RANK, SCALINGS
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
     from .gf2 import BinaryCode
-
-MAX_ROOT_RANK = 16
 
 __all__ = [
     "MAX_ROOT_RANK",

@@ -167,6 +167,15 @@ ENUMERATE_7 = ("code", "enumerate", "--length", "7", "--weights", "4",
                "--dim-min", "1", "--dim-max", "7")
 
 
+def test_enumerate_dimension_range_past_the_length(capsys):
+    # a --dim-max far past the length answers at once, as --dim-max 7 does
+    with within(1.0):
+        rc, rep = invoke(capsys, *ENUMERATE_7[:-1], str(10**12))
+    assert (rc, rep["status"], rep["outputs"]["count"]) == (0, "ok", 3)
+    assert rep["outputs"]["codes"] == invoke(capsys, *ENUMERATE_7)[1][
+        "outputs"]["codes"]
+
+
 def tamper_truncate(text):
     return text.splitlines(keepends=True)[0]
 

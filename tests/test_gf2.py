@@ -844,16 +844,15 @@ def test_repeated_equivalence_runs_no_search(monkeypatch):
 ])
 def test_stopped_entry_keeps_no_generators(monkeypatch, a):
     # equivalent reads only the leaf a stopped search ends at, so its entry
-    # holds no generators, at both levels of the dual switch; b's canonical
-    # form still comes from a full search of its own
+    # holds no generators, and a search leaves one entry even when it runs
+    # on the duals; b's canonical form still comes from a full search of
+    # its own
     b = shuffled_copy(random.Random(1981), a)
     gf2._canonical_search.cache_clear()
     try:
         form = canonical_form(a)[0]
         assert equivalent(a, b) is not None
-        entries = [(b, form)]
-        if 2 * a.dim > a.length:
-            entries.append((gf2._dual(b), gf2._dual(form)))
+        assert gf2._canonical_search.cache_info().currsize == 2
         searched = []
         search = gf2._search
 
@@ -862,8 +861,7 @@ def test_stopped_entry_keeps_no_generators(monkeypatch, a):
             return search(*args)
 
         monkeypatch.setattr(gf2, "_search", counting)
-        for entry in entries:
-            assert gf2._canonical_search(*entry)[2] == ()
+        assert gf2._canonical_search(b, form)[2] == ()
         assert searched == []
         assert canonical_form(b)[0] == form
         assert [stop for _, stop in searched] == [None]
@@ -991,7 +989,7 @@ def test_enumerate_matches_golden():
 def counted_searches(monkeypatch):
     # a cold enumeration's canonical searches, as a list that grows with
     # each search the cache does not answer
-    monkeypatch.setattr(gf2, "_LEVELS", {})
+    gf2._levels.cache_clear()
     gf2._canonical_search.cache_clear()
     search, searched = gf2._search, []
 
@@ -1016,10 +1014,10 @@ def test_enumerate_length_13_within_budget(monkeypatch):
 
 
 def test_enumerate_length_16_reach(monkeypatch):
-    # a cold length-16 "div4" enumeration, resumed from dimension 4, ends
-    # with both doubly even self-dual classes of length 16, e8 + e8 and d16+
-    # (Pless and Sloane, 1975); about 1 s on a 2-vCPU Xeon VM, in a
-    # counted number of searches
+    # a cold length-16 "div4" enumeration, after a shallow one whose
+    # searches it reuses, ends with both doubly even self-dual classes of
+    # length 16, e8 + e8 and d16+ (Pless and Sloane, 1975); about 1 s on a
+    # 2-vCPU Xeon VM, in a counted number of searches
     searched = counted_searches(monkeypatch)
     with within(60):
         shallow = enumerate_codes(16, "div4", 1, 4)
@@ -1059,7 +1057,7 @@ def recorded_extensions(monkeypatch, weights, lengths):
     # enumerate each length from an empty cache, recording each base, the
     # code that first reached its class, with the generators and cosets it
     # is extended with
-    monkeypatch.setattr(gf2, "_LEVELS", {})
+    gf2._levels.cache_clear()
     extend = gf2._extensions
     given = {}
 
@@ -1109,10 +1107,11 @@ def test_enumeration_cosets_match_span_test(monkeypatch, weights):
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
-def test_enumeration_resumes_from_a_cached_frontier(monkeypatch, weights):
-    # a shallow enumeration keeps the records of its deepest dimension; a
-    # deeper one extends only those and their descendants, a repeated one
-    # searches nothing, and a finished one keeps no records
+def test_enumeration_ranges_are_slices_of_the_full_list(monkeypatch,
+                                                        weights):
+    # every dimension range lists the classes of the full enumeration in
+    # that range; a repeated call searches and extends nothing, and the
+    # caller owns the list it gets
     extend, form = gf2._extensions, gf2.canonical_form
     extended, formed = [], []
 
@@ -1127,35 +1126,25 @@ def test_enumeration_resumes_from_a_cached_frontier(monkeypatch, weights):
     monkeypatch.setattr(gf2, "_extensions", recording)
     monkeypatch.setattr(gf2, "canonical_form", counting_form)
     for length in range(1, 13):
-        monkeypatch.setattr(gf2, "_LEVELS", {})
-        cold = enumerate_codes(length, weights, 1, length)
-        monkeypatch.setattr(gf2, "_LEVELS", {})
-        shallow = enumerate_codes(length, weights, 1, 2)
-        _, frontier = gf2._LEVELS[length, weights]
-        assert [canonical_form(base)[0] for base, _, _ in frontier] == \
-            [cls for cls in shallow if cls.dim == 2], length
-        extended.clear()
-        assert enumerate_codes(length, weights, 1, length) == cold, length
-        assert [canonical_form(base)[0] for base in extended] == \
-            [cls for cls in cold if cls.dim >= 2], length
-        assert gf2._LEVELS[length, weights][1] == (), length
+        full = enumerate_codes(length, weights, 0, length)
+        for lo, hi in combinations_with_replacement(range(length + 2), 2):
+            assert enumerate_codes(length, weights, lo, hi) == \
+                [c for c in full if lo <= c.dim <= hi], (length, lo, hi)
         extended.clear()
         formed.clear()
-        again = enumerate_codes(length, weights, 0, length)
-        assert again == [zero_code(length)] + cold, length
+        again = enumerate_codes(length, weights, 0, length + 1)
+        assert again == full, length
         assert extended == [] and formed == [], length
-        # the caller owns the list it gets
         again.clear()
-        assert enumerate_codes(length, weights, 1, length) == cold, length
+        assert enumerate_codes(length, weights, 0, length) == full, length
 
 
 def test_enumeration_survives_an_interrupted_level(monkeypatch):
     # an alarm or a benchmark cap can stop a level part way through; the
-    # cache must then hold the last completed level, from which a full
-    # call finds what a cold one does
-    monkeypatch.setattr(gf2, "_LEVELS", {})
+    # next call must then find what a cold one does
+    gf2._levels.cache_clear()
     cold = enumerate_codes(12, "div4", 0, 12)
-    monkeypatch.setattr(gf2, "_LEVELS", {})
+    gf2._levels.cache_clear()
     extend = gf2._extensions
     bases = []
 
@@ -1172,19 +1161,28 @@ def test_enumeration_survives_an_interrupted_level(monkeypatch):
     monkeypatch.setattr(gf2, "_extensions", interrupted)
     with pytest.raises(Interrupted):
         enumerate_codes(12, "div4", 0, 12)
-    levels, frontier = gf2._LEVELS[12, "div4"]
-    assert [len(level) for level in levels] == \
-        [sum(c.dim == d for c in cold) for d in (1, 2, 3)]
-    assert [canonical_form(base)[0] for base, _, _ in frontier] == \
-        list(levels[2])
+    assert gf2._levels.cache_info().currsize == 0
     monkeypatch.setattr(gf2, "_extensions", extend)
     assert enumerate_codes(12, "div4", 0, 12) == cold
+
+
+def test_enumeration_past_the_length_ends_at_once():
+    # a dimension range past the length asks for the levels a range
+    # ending at the length does, from the same cache entry
+    gf2._levels.cache_clear()
+    exact = enumerate_codes(7, "4", 1, 7)
+    hits = gf2._levels.cache_info().hits
+    with within(1.0):
+        assert enumerate_codes(7, "4", 1, 10**12) == exact
+    assert len(exact) == 3
+    info = gf2._levels.cache_info()
+    assert (info.hits, info.currsize) == (hits + 1, 1)
 
 
 def test_enumerate_dimension_zero_builds_no_cosets(monkeypatch):
     # the zero code's cosets are every admissible word, about 10^9 of
     # them at length 32 under "div4"; dimension 0 alone must not list them
-    monkeypatch.setattr(gf2, "_LEVELS", {})
+    gf2._levels.cache_clear()
     with within(1.0):
         assert enumerate_codes(32, "div4", 0, 0) == [zero_code(32)]
 
@@ -1208,22 +1206,19 @@ def test_enumeration_matches_mass_formula(weights):
 def test_enumeration_searches_no_base_twice(monkeypatch):
     # a base's automorphisms come from the search that found its class, so
     # every search is of a code that was canonicalized, not of the base again
-    monkeypatch.setattr(gf2, "_LEVELS", {})
+    gf2._levels.cache_clear()
     gf2._canonical_search.cache_clear()
     form, search = gf2.canonical_form, gf2._canonical_search
-    formed, unformed, high_rate = set(), [], set()
+    formed, unformed = set(), []
 
     def counting_form(code):
         formed.add(code)
         return form(code)
 
     def counting_search(code):
-        # the zero code starts the enumeration, and a code of rate above
-        # 1/2 is searched as its dual
-        if code not in formed and code.dim and code not in high_rate:
+        # the zero code starts the enumeration
+        if code not in formed and code.dim:
             unformed.append(code)
-        if 2 * code.dim > code.length:
-            high_rate.add(gf2._dual(code))
         return search(code)
 
     monkeypatch.setattr(gf2, "canonical_form", counting_form)

@@ -59,6 +59,7 @@ def test_parser_choices_are_the_layer_constants():
         return kwargs["choices"]
 
     assert choices("lattice build", "--scaling") is lattices.SCALINGS
+    assert lattices.MAX_ROOT_RANK is nodalcodes.MAX_ROOT_RANK
     assert choices("cover invariants", "--kodaira") is covers.KODAIRA
     # the weight rules are spelled in the parser: gf2 accepts each of them
     # and nothing else
