@@ -9,8 +9,10 @@ classify  involution and fibration case analysis built on the above
 cli       JSON-report command line front end
 
 Each layer is imported on first access (PEP 562), so `nodalcodes.gf2` and
-`from nodalcodes import gf2` work while a CLI request loads only the
-layers its subcommand calls.
+`from nodalcodes import gf2` work.  This hook is the package's one lazy
+loader: CLI handlers and the cross-layer calls in classify and lattices
+reach `nodalcodes.<layer>` when they run, so a CLI request loads only the
+layers its subcommand calls, and no function imports a layer.
 """
 
 import importlib

@@ -18,6 +18,8 @@ from itertools import product
 from math import isqrt
 from typing import TYPE_CHECKING, FrozenSet, List, NamedTuple, Optional, Tuple
 
+import nodalcodes
+
 from .covers import Step, isotropic_bound, min_m_for_r
 
 if TYPE_CHECKING:
@@ -420,14 +422,12 @@ def feasible_kr_pairs() -> FrozenSet[Tuple[int, int, int]]:
     enumeration of all-weight-4 codes, each of which has m < 8: it is a
     replicated simplex code (Bonisoli 1984), of support 4, 6 or 7.
     """
-    from .gf2 import enumerate_codes, reduce
-
     found = set()
     for rho in range(5, 11):
         k = rho - 2
         r_lo = max(1, isotropic_bound(k, rho))
-        for code in enumerate_codes(k, "4", r_lo, k):
-            found.add((k, code.dim, reduce(code)[0].length))
+        for code in nodalcodes.gf2.enumerate_codes(k, "4", r_lo, k):
+            found.add((k, code.dim, nodalcodes.gf2.reduce(code)[0].length))
     return frozenset(found)
 
 
@@ -477,11 +477,9 @@ def saturated_node_sweep(rho: int) -> SweepRow:
             "the doubled-code identification caps the rank below that"
         )
     else:
-        from .gf2 import enumerate_codes
-
         # here k <= 7, so m < 8 automatically and all weights are exactly 4
-        attained = tuple(sorted(
-            {code.dim for code in enumerate_codes(k, "4", r_min, k)}))
+        codes = nodalcodes.gf2.enumerate_codes(k, "4", r_min, k)
+        attained = tuple(sorted({code.dim for code in codes}))
         if attained:
             tag = _SURVIVOR_TAGS.get(rho, "survives numerically")
         else:
@@ -558,8 +556,7 @@ class StandardExample(NamedTuple):
 def standard_example_invariants(n: int) -> StandardExample:
     """The rational surface carrying 2n disjoint nodal curves obtained from
     n double fibers of a ruling: rho = 2n + 2 and the code is de(n)."""
-    from .gf2 import de
-
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
-    return StandardExample(n=n, rho=2 * n + 2, k=2 * n, code=de(n))
+    return StandardExample(n=n, rho=2 * n + 2, k=2 * n,
+                           code=nodalcodes.gf2.de(n))

@@ -41,6 +41,8 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
+import nodalcodes
+
 from . import KODAIRA, MAX_LENGTH, MAX_ROOT_RANK, SCALINGS, __version__
 
 if TYPE_CHECKING:
@@ -53,9 +55,8 @@ Result = Tuple[object, str]
 Handler = Callable[[argparse.Namespace], Result]
 
 # "group leaf" -> (handler, help, add_argument parameters), in --help order.
-# Each handler imports the layer it calls when it runs, so a request loads
-# only those layers, and reaches library functions as attributes of the
-# layer module, so a tracer that rebinds them there sees every call.
+# Handlers reach nodalcodes.<layer>, so a request loads only the layers it
+# calls, and a tracer that rebinds a function in its layer sees every call.
 _COMMANDS: Dict[str, Tuple[Handler, str, tuple]] = {}
 
 
@@ -105,24 +106,22 @@ def _plain(value: object) -> object:
 
 
 def _code_dict(code: BinaryCode) -> Dict[str, object]:
-    from . import gf2
-
     return {
         "length": code.length,
         "dim": code.dim,
         "generators": [
-            gf2.word_to_string(g, code.length) for g in code.generators
+            nodalcodes.gf2.word_to_string(g, code.length)
+            for g in code.generators
         ],
         "weight_enumerator": {
-            str(w): n for w, n in gf2.weight_enumerator(code).items()
+            str(w): n
+            for w, n in nodalcodes.gf2.weight_enumerator(code).items()
         },
     }
 
 
 def _load_code(path: str) -> BinaryCode:
-    from . import gf2
-
-    return gf2.parse_code(Path(path).read_text())
+    return nodalcodes.gf2.parse_code(Path(path).read_text())
 
 
 def _cache_lines(codes: Sequence[BinaryCode]) -> List[str]:
@@ -147,24 +146,22 @@ def _cache_stamp(count: int) -> str:
 def _read_cache(path: Path, args: argparse.Namespace) -> Optional[List[str]]:
     """The code lines of a cache file this version wrote for these
     arguments, or None if the file is missing, stale or fails a check."""
-    from . import gf2
-
     try:
         stamp, *lines = path.read_text().splitlines()
         if stamp != _cache_stamp(len(lines)):
             return None
-        ok = gf2._weight_rule(args.length, args.weights, args.dim_min,
-                             args.dim_max)
+        ok = nodalcodes.gf2._weight_rule(args.length, args.weights,
+                                         args.dim_min, args.dim_max)
         previous: Tuple[int, Tuple[int, ...]] = (-1, ())
         for line in lines:
             row = json.loads(line)
-            code = gf2.make_code(row["generators"], args.length)
+            code = nodalcodes.gf2.make_code(row["generators"], args.length)
             key = (code.dim, code.generators)
             # once the line is the code's own, its weights are the code's
             if (_cache_lines([code]) != [line]
                     or not args.dim_min <= code.dim <= args.dim_max
                     or key <= previous
-                    or gf2.canonical_form(code)[0] != code
+                    or nodalcodes.gf2.canonical_form(code)[0] != code
                     or not all(ok(int(h)) for h in row["weight_enumerator"]
                                if h != "0")):
                 return None
@@ -196,17 +193,15 @@ def _write_cache(path: Path, lines: List[str]) -> None:
           "weights, evenness, reduction and recognition of a code",
           _arg("file"))
 def _code_analyze(args: argparse.Namespace) -> Result:
-    from . import gf2
-
     code = _load_code(args.file)
-    reduced, support = gf2.reduce(code)
+    reduced, support = nodalcodes.gf2.reduce(code)
     outputs = {
         **_code_dict(code),
-        "is_even": gf2.is_even(code),
-        "is_doubly_even": gf2.is_doubly_even(code),
+        "is_even": nodalcodes.gf2.is_even(code),
+        "is_doubly_even": nodalcodes.gf2.is_doubly_even(code),
         "reduced_length": reduced.length,
         "reduced_support": support,
-        "de_n": gf2.recognize_de(code),
+        "de_n": nodalcodes.gf2.recognize_de(code),
     }
     return outputs, "ok"
 
@@ -214,19 +209,15 @@ def _code_analyze(args: argparse.Namespace) -> Result:
 @_command("code de", "the doubled even-weight code on 2n coordinates",
           _arg("n", type=int))
 def _code_de(args: argparse.Namespace) -> Result:
-    from . import gf2
-
-    return _code_dict(gf2.de(args.n)), "ok"
+    return _code_dict(nodalcodes.gf2.de(args.n)), "ok"
 
 
 @_command("code equiv", "decide coordinate-permutation equivalence",
           _arg("a"), _arg("b"))
 def _code_equiv(args: argparse.Namespace) -> Result:
-    from . import gf2
-
     a = _load_code(args.a)
     b = _load_code(args.b)
-    perm = gf2.equivalent(a, b)
+    perm = nodalcodes.gf2.equivalent(a, b)
     return {"equivalent": perm is not None, "permutation": perm}, "ok"
 
 
@@ -240,8 +231,6 @@ def _code_equiv(args: argparse.Namespace) -> Result:
           _arg("--cache", default=None,
                help="directory for the JSONL result cache"))
 def _code_enumerate(args: argparse.Namespace) -> Result:
-    from . import gf2
-
     cache_file: Optional[Path] = None
     lines: Optional[List[str]] = None
     if args.cache:
@@ -252,7 +241,7 @@ def _code_enumerate(args: argparse.Namespace) -> Result:
         cache_file = Path(args.cache) / name
         lines = _read_cache(cache_file, args)
     if lines is None:
-        codes = gf2.enumerate_codes(
+        codes = nodalcodes.gf2.enumerate_codes(
             args.length, args.weights, args.dim_min, args.dim_max
         )
         lines = _cache_lines(codes)
@@ -269,9 +258,7 @@ def _code_enumerate(args: argparse.Namespace) -> Result:
 @_command("code recognize-de",
           "is the reduced code a doubled even-weight code?", _arg("file"))
 def _code_recognize_de(args: argparse.Namespace) -> Result:
-    from . import gf2
-
-    n = gf2.recognize_de(_load_code(args.file))
+    n = nodalcodes.gf2.recognize_de(_load_code(args.file))
     return {"n": n, "essentially_de": n is not None}, "ok"
 
 
@@ -281,11 +268,9 @@ def _code_recognize_de(args: argparse.Namespace) -> Result:
           _arg("--out", default=None,
                help="also write the lattice JSON to this file"))
 def _lattice_build(args: argparse.Namespace) -> Result:
-    from . import lattices
-
     code = _load_code(args.code_file)
-    lat = lattices.construction_a(code, args.scaling)
-    text = lattices.lattice_to_json(lat)
+    lat = nodalcodes.lattices.construction_a(code, args.scaling)
+    text = nodalcodes.lattices.lattice_to_json(lat)
     if args.out:
         Path(args.out).write_text(text + "\n")
     outputs = json.loads(text)
@@ -297,11 +282,9 @@ def _lattice_build(args: argparse.Namespace) -> Result:
           _arg("file", help=f"lattice JSON; a rank above {MAX_ROOT_RANK}, "
                             "the root search's limit, is an error"))
 def _lattice_identify(args: argparse.Namespace) -> Result:
-    from . import lattices
-
-    lat = lattices.lattice_from_json(Path(args.file).read_text())
-    outputs = {**lattices.identify_root_system(lat)._asdict(),
-               "discriminant": str(lattices.discriminant(lat))}
+    lat = nodalcodes.lattices.lattice_from_json(Path(args.file).read_text())
+    outputs = {**nodalcodes.lattices.identify_root_system(lat)._asdict(),
+               "discriminant": str(nodalcodes.lattices.discriminant(lat))}
     return outputs, "ok"
 
 
@@ -315,13 +298,11 @@ def _lattice_identify(args: argparse.Namespace) -> Result:
                help=f"number of branch curves, 0 <= m <= {MAX_LENGTH}"),
           _arg("--kodaira", choices=KODAIRA, default="unknown"))
 def _cover_invariants(args: argparse.Namespace) -> Result:
-    from . import covers
-
-    base = covers.SurfaceInvariants(
+    base = nodalcodes.covers.SurfaceInvariants(
         chi=args.chi, K2=args.k2, kodaira=args.kodaira
     )
-    spec = covers.CoverSpec(r=args.r, m=args.m)
-    return covers.cover_invariants(base, spec), "ok"
+    spec = nodalcodes.covers.CoverSpec(r=args.r, m=args.m)
+    return nodalcodes.covers.cover_invariants(base, spec), "ok"
 
 
 @_command("bound isotropic",
@@ -329,10 +310,8 @@ def _cover_invariants(args: argparse.Namespace) -> Result:
           _arg("--k", type=int, required=True),
           _arg("--rho", type=int, required=True))
 def _bound_isotropic(args: argparse.Namespace) -> Result:
-    from . import covers
-
-    bound = covers.isotropic_bound(args.k, args.rho)
-    step = covers.Step(
+    bound = nodalcodes.covers.isotropic_bound(args.k, args.rho)
+    step = nodalcodes.covers.Step(
         "an isotropic subspace of a rank-rho quadratic space has "
         "dimension at most rho // 2, so the code rank is at least "
         "k - rho // 2",
@@ -347,19 +326,15 @@ def _bound_isotropic(args: argparse.Namespace) -> Result:
           _arg("--k2", type=int, required=True),
           _arg("--c2", type=int, required=True))
 def _bound_miyaoka(args: argparse.Namespace) -> Result:
-    from . import covers
-
-    return covers.miyaoka_max_nodes(args.k2, args.c2), "ok"
+    return nodalcodes.covers.miyaoka_max_nodes(args.k2, args.c2), "ok"
 
 
 @_command("bound min-m",
           "minimum number of curves in the support at rank r",
           _arg("--r", type=int, required=True))
 def _bound_min_m(args: argparse.Namespace) -> Result:
-    from . import covers
-
-    value = covers.min_m_for_r(args.r)
-    step = covers.Step(
+    value = nodalcodes.covers.min_m_for_r(args.r)
+    step = nodalcodes.covers.Step(
         "each of the m covered coordinates lies in 2^(r-1) words and "
         "each of the 2^r - 1 nonzero words has weight >= 4, so "
         "m >= 8 (2^r - 1) / 2^r",
@@ -373,9 +348,7 @@ def _bound_min_m(args: argparse.Namespace) -> Result:
           "case table for an involution with p_g = 0 and K^2 = 8 or 9",
           _arg("--k2", type=int, choices=(8, 9), required=True))
 def _classify_involution(args: argparse.Namespace) -> Result:
-    from . import classify
-
-    cases = classify.classify_involution(args.k2)
+    cases = nodalcodes.classify.classify_involution(args.k2)
     steps = [s for case in cases for s in case.derivation]
     status = (
         "contradiction"
@@ -390,10 +363,8 @@ def _classify_involution(args: argparse.Namespace) -> Result:
           _arg("--euler", type=int, required=True),
           _arg("--nodes", type=int, required=True))
 def _classify_fibers(args: argparse.Namespace) -> Result:
-    from . import classify
-
-    multisets = classify.fiber_budget(args.euler, args.nodes)
-    step = classify.Step(
+    multisets = nodalcodes.classify.fiber_budget(args.euler, args.nodes)
+    step = nodalcodes.classify.Step(
         "fiber Euler numbers sum to at most the total while nodal "
         "capacities sum to exactly the required nodes",
         "Euler number budget of a relatively minimal elliptic fibration",
@@ -410,10 +381,8 @@ def _classify_fibers(args: argparse.Namespace) -> Result:
 @_command("classify kr-pairs",
           "feasible (k, r, m) triples for k = rho - 2 nodal curves")
 def _classify_kr_pairs(args: argparse.Namespace) -> Result:
-    from . import classify
-
-    pairs = sorted(classify.feasible_kr_pairs())
-    step = classify.Step(
+    pairs = sorted(nodalcodes.classify.feasible_kr_pairs())
+    step = nodalcodes.classify.Step(
         "exhaustive enumeration of all-weight-4 codes of length "
         "k = rho - 2 for 5 <= rho <= 10 under the isotropic rank "
         "bound and m < 8",
@@ -427,9 +396,7 @@ def _classify_kr_pairs(args: argparse.Namespace) -> Result:
           "feasibility of k = rho - 1 nodal curves on a rational surface",
           _arg("--rho", type=int, required=True))
 def _classify_thm_mt(args: argparse.Namespace) -> Result:
-    from . import classify
-
-    row = classify.saturated_node_sweep(args.rho)
+    row = nodalcodes.classify.saturated_node_sweep(args.rho)
     return row, "ok" if row.survives else "contradiction"
 
 
@@ -437,17 +404,13 @@ def _classify_thm_mt(args: argparse.Namespace) -> Result:
           "surfaces with k = rho - 2 nodal curves for rho <= 4",
           _arg("--rho", type=int, required=True))
 def _classify_small_rho(args: argparse.Namespace) -> Result:
-    from . import classify
-
-    return {"cases": classify.small_rho_cases(args.rho)}, "ok"
+    return {"cases": nodalcodes.classify.small_rho_cases(args.rho)}, "ok"
 
 
 @_command("solve md", "positive solutions of d m = m + 2 d")
 def _solve_md(args: argparse.Namespace) -> Result:
-    from . import classify
-
-    sols = classify.solve_md()
-    step = classify.Step(
+    sols = nodalcodes.classify.solve_md()
+    step = nodalcodes.classify.Step(
         "d m = m + 2 d rewrites as (d - 1)(m - 2) = 2; the two "
         "factorizations of 2 give all positive solutions",
         "pencil Diophantine equation",

@@ -17,6 +17,8 @@ import json
 from math import isqrt, lcm
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
+import nodalcodes
+
 from . import MAX_ROOT_RANK, SCALINGS
 
 if TYPE_CHECKING:
@@ -83,16 +85,14 @@ def construction_a(code: BinaryCode, scaling: str) -> GramLattice:
     code to be doubly even (otherwise the result is not even integral);
     "unscaled" requires all weights even so that roots are meaningful.
     """
-    from .gf2 import is_doubly_even, is_even
-
     if scaling not in SCALINGS:
         raise ValueError(f"unknown scaling tag: {scaling!r}")
     k = code.length
     if k < 1:
         raise ValueError("code must have positive length")
-    if scaling == "half" and not is_doubly_even(code):
+    if scaling == "half" and not nodalcodes.gf2.is_doubly_even(code):
         raise ValueError("scaling 'half' needs a doubly even code")
-    if scaling == "unscaled" and not is_even(code):
+    if scaling == "unscaled" and not nodalcodes.gf2.is_even(code):
         raise ValueError("scaling 'unscaled' needs an even-weight code")
 
     # (word, multiplier) pairs; 2<s*a, t*b> = 2st|a & b|, halved for "half"

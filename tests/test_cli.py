@@ -61,15 +61,16 @@ def test_help_is_argparse_usage(capsys):
 
 
 def test_pretty_flag(capsys):
-    rc = run(["--pretty", "solve", "md"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "\n  " in out
-    json.loads(out)
-    rc = run(["solve", "md", "--pretty"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "\n  " in out
+    # --pretty at the top, group and leaf level: each parser takes it from
+    # parents=[common], and the report is the compact one, indented
+    for argv in (["--pretty", "solve", "md"], ["solve", "md", "--pretty"],
+                 ["code", "--pretty", "de", "2"], ["solve", "--pretty", "md"]):
+        rc = run(argv)
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "\n  " in out
+        compact = [a for a in argv if a != "--pretty"]
+        assert (rc, json.loads(out)) == invoke(capsys, *compact), argv
 
 
 def test_code_analyze(capsys, tmp_path):

@@ -5,7 +5,8 @@ FILES below, with relative file names, and compares every run's exit code
 and standard output with ``tests/golden/cli/<case>.json``.  Rewrite the goldens with
 ``python tests/test_cli_golden.py`` and read the diff before committing.
 
-A case per command group (two for lattice) also runs as
+A case per command group (two for lattice), and four classify requests,
+two that enumerate codes and two that do not, also run as
 ``python -m nodalcodes.cli`` in a fresh process, which must print the same
 bytes and load only the layers its handler calls.
 """
@@ -121,7 +122,8 @@ def test_goldens_cover_every_command():
     assert pinned == set(_COMMANDS)
 
 
-# a case per command group (two for lattice), with the nodalcodes modules
+# a case per command group (two for lattice) and four classify requests,
+# two that enumerate codes and two that do not, with the nodalcodes modules
 # its request loads and whether it loads fractions; no request loads
 # dataclasses
 FRESH = {
@@ -132,6 +134,10 @@ FRESH = {
     "bound-min-m": ({"cli", "covers"}, False),
     "classify-involution-8": ({"cli", "classify", "covers"}, False),
     "classify-fibers": ({"cli", "classify", "covers"}, False),
+    "classify-thm-mt": ({"cli", "classify", "covers"}, False),
+    "classify-thm-mt-8": ({"cli", "classify", "covers", "gf2"}, False),
+    "classify-kr-pairs": ({"cli", "classify", "covers", "gf2"}, False),
+    "classify-small-rho": ({"cli", "classify", "covers"}, False),
     "solve-md": ({"cli", "classify", "covers"}, False),
 }
 

@@ -1,5 +1,8 @@
-"""The package's public names: layers imported on first access, and the
-definitions the CLI parser shares with them."""
+"""The package's public names: layers imported on first access, the one
+lazy loader, and the definitions the CLI parser shares with them."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +72,25 @@ def test_parser_choices_are_the_layer_constants():
     assert "div8" not in weights
     with pytest.raises(ValueError, match="unknown weight rule: 'div8'"):
         gf2._weight_rule(8, "div8", 0, 8)
+
+
+def test_no_function_imports_a_layer():
+    # the package hook is the one lazy loader: a function reaches
+    # nodalcodes.<layer>, and imports only from outside the package
+    offending = []
+    for path in sorted(Path(nodalcodes.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = ["." * node.level + (node.module or "")]
+                else:
+                    continue
+                if any(m.startswith(".") or
+                       m.split(".")[0] in ("nodalcodes", *LAYERS)
+                       for m in modules):
+                    offending.append(f"{path.name}:{node.lineno}")
+    assert offending == []
