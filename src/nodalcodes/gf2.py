@@ -394,13 +394,54 @@ def _canonical_search(
     stop's matrix; the entry holds that leaf and no generators, and only
     ``equivalent`` reads it.  Call a full search with ``code`` alone: the
     cache keys ``f(x)`` and ``f(x, None)`` apart.  One search leaves one
-    entry, also when it runs on the duals.
+    entry, also when it runs on the duals.  A code with zero coordinates
+    whose support has 2 dim <= its length leaves two: its own, lifted
+    from its support's, and its support's, which codes of other lengths
+    with that support then read (see the comment above).
     """
-    if 2 * code.dim > code.length:
+    k = code.length
+    if 2 * code.dim > k:
         canon, images, auts = _search(
             _dual(code), None if stop is None else _dual(stop))
         return _dual(canon), images, auts
-    return _search(code, stop)
+    support = _support(code)
+    z = k - support.bit_count()
+    if not z or 2 * code.dim > k - z or stop is not None and any(
+            g & ((1 << z) - 1) for g in stop.generators):
+        return _search(code, stop)
+    sub, kept = reduce(code)
+    # the support's stop is stop without its z leading zero columns; a full
+    # search is called with the support alone, the key canonical_form uses
+    canon, sub_images, sub_auts = _canonical_search(sub) if stop is None \
+        else _canonical_search(
+            sub, BinaryCode(k - z, tuple(g >> z for g in stop.generators)))
+    images = [0] * k
+    for pos, c in enumerate(c for c in range(k) if not support >> c & 1):
+        images[c] = pos
+    for c, pos in zip(kept, sub_images):
+        images[c] = z + pos
+    generators: Generators = ()
+    if stop is None:
+        # the support's recorded automorphisms, then the transpositions of
+        # equal columns: the support's and the z - 1 of the zero columns
+        swaps = _equal_columns(_columns(code))[0]
+        auts = []
+        for sub_aut in sub_auts[:len(sub_auts) - len(swaps) + z - 1]:
+            aut = list(range(k))
+            for c, image in zip(kept, sub_aut):
+                aut[c] = kept[image]
+            auts.append(tuple(aut))
+        generators = tuple(auts) + tuple(swaps)
+    return (BinaryCode(k, tuple(g << z for g in canon.generators)),
+            tuple(images), generators)
+
+
+def _support(code: BinaryCode) -> int:
+    """The mask of the coordinates where some word of the code is 1."""
+    mask = 0
+    for g in code.generators:
+        mask |= g
+    return mask
 
 
 def _columns(code: BinaryCode) -> List[int]:
@@ -437,23 +478,7 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
     no generators."""
     k, r = code.length, code.dim
     table = _columns(code)
-    # Equal columns agree on every codeword, so at any search node only
-    # the smallest unused column of each class need be tried: ``firsts``
-    # marks the smallest of each class, and taking column c hands the mark
-    # on to the next column of its class, ``after[c]``.
-    swaps: List[Tuple[int, ...]] = []
-    after = [0] * k
-    last: Dict[int, int] = {}
-    firsts = 0
-    for c, col in enumerate(table):
-        if col in last:
-            swap = list(range(k))
-            swap[c], swap[last[col]] = last[col], c
-            swaps.append(tuple(swap))
-            after[last[col]] = 1 << c
-        else:
-            firsts |= 1 << c
-        last[col] = c
+    swaps, after, firsts = _equal_columns(table)
 
     # depth d may take only a column whose profile is the d-th smallest
     profile = _profiles(code)
@@ -587,6 +612,31 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
     return BinaryCode(k, _rows(best_cols, r)), tuple(images), generators
 
 
+def _equal_columns(table: List[int]
+                   ) -> Tuple[List[Tuple[int, ...]], List[int], int]:
+    """Equal columns agree on every codeword, so at any search node only
+    the smallest unused column of each class need be tried.  Returns the
+    transposition of each column with the previous one of its class, in
+    column order; ``after``, where taking column c hands the mark on to
+    the next column of its class, ``after[c]``; and ``firsts``, which
+    marks the smallest column of each class."""
+    k = len(table)
+    swaps: List[Tuple[int, ...]] = []
+    after = [0] * k
+    last: Dict[int, int] = {}
+    firsts = 0
+    for c, col in enumerate(table):
+        if col in last:
+            swap = list(range(k))
+            swap[c], swap[last[col]] = last[col], c
+            swaps.append(tuple(swap))
+            after[last[col]] = 1 << c
+        else:
+            firsts |= 1 << c
+        last[col] = c
+    return swaps, after, firsts
+
+
 def _find(parent: List[int], x: int) -> int:
     """Root of x in a union-find forest, halving its path on the way."""
     while parent[x] != x:
@@ -638,6 +688,9 @@ def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
     if a.length != b.length or a.dim != b.dim:
         return None
     ca, imgs_a = canonical_form(a)
+    # a permutation carries the support onto the support
+    if _support(a).bit_count() != _support(b).bit_count():
+        return None
     cb, imgs_b, _ = _canonical_search(b, ca)
     if cb != ca:
         return None
@@ -793,16 +846,28 @@ def _extensions(
     k, gens = base.length, base.generators
     pivots = [(g & -g, g) for g in gens]
     admissible = set(cosets)
+    # Aut(base) holds Sym(zeros), the permutations of the zero coordinates,
+    # as a normal subgroup: so the walk names each coset by its Sym(zeros)
+    # orbit, its zero-coordinate bits packed onto the lowest of them
+    # (packed[i] is the lowest i), and needs only the generators that move
+    # a coordinate of the support.  A packed name is the smallest of its
+    # orbit, so the smallest coset of each orbit is still found first
+    zeros = ((1 << k) - 1) & ~_support(base)
+    packed = [0]
+    for c in range(k):
+        if zeros >> c & 1:
+            packed.append(packed[-1] | 1 << c)
     # the coset map of a generator is linear and the cosets' words avoid
     # the pivot columns, so only the moved coordinates change a word
     maps = [
         [(1 << c, (1 << c) ^ _coset(1 << perm[c], pivots))
          for c in range(k) if perm[c] != c]
         for perm in generators
+        if any(perm[c] != c for c in range(k) if not zeros >> c & 1)
     ]
     reached = set()
     for x in cosets:
-        if x in reached:
+        if x & ~zeros | packed[(x & zeros).bit_count()] in reached:
             continue
         # x is the smallest admissible coset of its orbit: walk the orbit
         reached.add(x)
@@ -814,6 +879,7 @@ def _extensions(
                 for bit, delta in moved:
                     if y & bit:
                         z ^= delta
+                z = z & ~zeros | packed[(z & zeros).bit_count()]
                 if z not in reached:
                     reached.add(z)
                     stack.append(z)
