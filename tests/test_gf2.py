@@ -189,11 +189,11 @@ def test_reduce_zero_code():
     assert support == ()
 
 
-def random_supported_code(rng, length):
-    """A random code on a random support, of any dimension up to 16 that
-    the support allows."""
+def random_supported_code(rng, length, max_dim=16):
+    """A random code on a random support, of any dimension up to max_dim
+    that the support allows."""
     mask = rng.getrandbits(length)
-    dim = rng.randint(0, min(mask.bit_count(), 16))
+    dim = rng.randint(0, min(mask.bit_count(), max_dim))
     code = zero_code(length)
     while code.dim < dim:
         code = make_code(code.generators + (rng.getrandbits(length) & mask,),
@@ -591,6 +591,37 @@ def test_not_equivalent_different_dims(monkeypatch):
     assert equivalent(zero_code(16), other) is None
 
 
+def test_equivalent_compares_support_sizes_before_b(monkeypatch):
+    # a permutation carries the support onto the support: where the sizes
+    # differ, the answer is None and the only search run is a's own
+    rng = random.Random(1971)
+    search, searched = gf2._search, []
+
+    def counting(*args):
+        searched.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(gf2, "_search", counting)
+    pairs = 0
+    try:
+        while pairs < 40:
+            n = rng.randint(2, 16)
+            a, b = (random_supported_code(rng, n) for _ in range(2))
+            if a.dim != b.dim or reduce(a)[0].length == reduce(b)[0].length:
+                continue
+            pairs += 1
+            gf2._canonical_search.cache_clear()
+            canonical_form(a)
+            alone = searched[:]
+            searched.clear()
+            gf2._canonical_search.cache_clear()
+            assert equivalent(a, b) is None
+            assert searched == alone, (a, b)
+            searched.clear()
+    finally:
+        gf2._canonical_search.cache_clear()
+
+
 def test_equivalence_respects_weight_enumerator():
     rng = random.Random(99)
     for _ in range(30):
@@ -726,19 +757,15 @@ def test_equivalent_matches_two_searches():
     assert sum(kinds.values()) >= 2500, kinds
 
 
-def fewest_nodes(monkeypatch, code):
-    # the smallest budget under which the full search of code passes,
-    # found by doubling and then bisection (2 dim <= length, and the cache
-    # is cleared before each try, so the search runs in full and reads no
-    # cache, also where it searches the support of a code with zero
-    # coordinates)
-    assert 2 * code.dim <= code.length
+def fewest_budget(monkeypatch, search):
+    # the smallest budget under which search() passes, found by doubling
+    # and then bisection; the budget is then set back
+    full = gf2._SEARCH_NODE_BUDGET
 
     def passes(budget):
         monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", budget)
-        gf2._canonical_search.cache_clear()
         try:
-            gf2._canonical_search.__wrapped__(code)
+            search()
         except gf2.SearchBudgetError:
             return False
         return True
@@ -753,7 +780,22 @@ def fewest_nodes(monkeypatch, code):
             high = mid
         else:
             low = mid
+    monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", full)
     return high
+
+
+def fewest_nodes(monkeypatch, code):
+    # the fewest nodes the full search of code visits (2 dim <= length, and
+    # the cache is cleared before each try, so the search runs in full and
+    # reads no cache, also where it searches the support of a code with
+    # zero coordinates)
+    assert 2 * code.dim <= code.length
+
+    def search():
+        gf2._canonical_search.cache_clear()
+        gf2._canonical_search.__wrapped__(code)
+
+    return fewest_budget(monkeypatch, search)
 
 
 def node_cases():
@@ -874,6 +916,47 @@ def test_stopped_entry_keeps_no_generators(monkeypatch, a):
         assert gf2._canonical_search(b)[2]
     finally:
         gf2._canonical_search.cache_clear()
+
+
+def test_support_search_is_the_padded_search(monkeypatch):
+    # a code with zero coordinates is searched on its support and lifted
+    # back; it must give what the search of the padded code gives: the
+    # form, witness and generators of the full search, the form and
+    # witness of searches stopped at three forms (the last one mostly
+    # without the code's leading zero columns, so the padded code is
+    # searched), and the fewest passing budget of the support's search
+    # plus one node per zero coordinate
+    rng = random.Random(1982)
+    lifted = 0
+    gf2._canonical_search.cache_clear()
+    try:
+        for _ in range(800):
+            n = rng.randint(2, 16)
+            code = random_supported_code(rng, n, max_dim=min(8, n // 2))
+            support, kept = reduce(code)
+            # a code of the same shape on a support of the same size
+            while True:
+                other = make_code([rng.getrandbits(support.length)
+                                   for _ in range(code.dim)], support.length)
+                if other.dim == code.dim:
+                    break
+            other = shuffled_copy(rng, make_code(
+                [g << (n - support.length) for g in other.generators], n))
+            assert gf2._canonical_search(code) == gf2._search(code)
+            for stop in (canonical_form(shuffled_copy(rng, code))[0],
+                         canonical_form(other)[0],
+                         canonical_form(random_code(rng, n, code.dim))[0]):
+                assert gf2._canonical_search(code, stop) == \
+                    gf2._search(code, stop)
+            z = n - support.length
+            if z and 2 * code.dim <= support.length:
+                lifted += 1
+                assert fewest_budget(
+                    monkeypatch, lambda: gf2._search(code)) == z + \
+                    fewest_budget(monkeypatch, lambda: gf2._search(support))
+    finally:
+        gf2._canonical_search.cache_clear()
+    assert lifted >= 300
 
 
 # --- recognizing doubled even-weight codes -----------------------------------
@@ -1232,6 +1315,81 @@ def test_enumeration_searches_no_base_twice(monkeypatch):
     monkeypatch.setattr(gf2, "_canonical_search", counting_search)
     enumerate_codes(13, "div4", 1, 13)
     assert formed and unformed == []
+
+
+def test_neighbouring_lengths_share_searches(monkeypatch):
+    # a code with zero coordinates is searched on its support, so each
+    # length reuses the searches of the shorter ones: one process
+    # enumerating neighbouring lengths in turn, as the paper's case
+    # analysis does, searches each support once.  From a cold cache, each
+    # length searched alone runs 11, 11, 16, 21 and 53 searches under
+    # "div4" and 4 under "4"
+    searched = counted_searches(monkeypatch)
+    counts = {}
+    for weights, lengths in (("div4", range(8, 13)), ("4", range(7, 13))):
+        for length in lengths:
+            before = len(searched)
+            enumerate_codes(length, weights, 1, length)
+            counts[weights, length] = len(searched) - before
+    assert counts == {
+        ("div4", 8): 11, ("div4", 9): 0, ("div4", 10): 5, ("div4", 11): 5,
+        ("div4", 12): 32, ("4", 7): 0, ("4", 8): 0, ("4", 9): 0,
+        ("4", 10): 0, ("4", 11): 0, ("4", 12): 0}
+
+
+def unpacked_orbit_representatives(base, generators, cosets):
+    # the smallest coset of each orbit of the group the generators
+    # generate, walking every coset of the orbit, each named by the word
+    # with the base's pivot bits cleared
+    reached, representatives = set(), []
+    for x in cosets:
+        if x in reached:
+            continue
+        representatives.append(x)
+        reached.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for perm in generators:
+                w = sum(1 << perm[c] for c in range(base.length) if y >> c & 1)
+                for g in base.generators:
+                    if w & g & -g:
+                        w ^= g
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+    return representatives
+
+
+@pytest.mark.parametrize("weights", ["4", "div4"])
+def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
+                                                          weights):
+    # the orbit walk packs the bits of the base's zero coordinates and
+    # drops the generators that move only those; each base must still
+    # canonicalize the children a walk over every coset does, in order
+    extend, form = gf2._extensions, gf2.canonical_form
+    formed, padded = [], []
+
+    def counting_form(code):
+        formed.append(code)
+        return form(code)
+
+    def checking(base, generators, cosets, found):
+        formed.clear()
+        extend(base, generators, cosets, found)
+        assert formed == [
+            make_code(base.generators + (x,), base.length)
+            for x in unpacked_orbit_representatives(base, generators,
+                                                    cosets)], base
+        if base.dim and reduce(base)[0].length < base.length:
+            padded.append(base)
+
+    monkeypatch.setattr(gf2, "canonical_form", counting_form)
+    monkeypatch.setattr(gf2, "_extensions", checking)
+    gf2._levels.cache_clear()
+    for length in range(1, 11):
+        enumerate_codes(length, weights, 0, length)
+    assert len(padded) >= 10
 
 
 def gray_weights(code):
