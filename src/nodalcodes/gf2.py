@@ -337,6 +337,21 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # The search also returns generators of Aut(C), and the results are cached,
 # so enumeration reads the automorphisms of each class it has canonicalized
 # instead of searching the class again (see ``_extensions``).
+#
+# Zero coordinates cost nothing.  A zero coordinate has the all-zero
+# profile, the smallest, and the zero columns are equal, so the search of a
+# code with z zero coordinates takes them first, in index order, one node
+# each, and then walks the search of its support: the same candidates in
+# the same order, under the support's names.  So a code whose support has
+# 2 dim <= its length is searched as its support, through the cache, and
+# the result is lifted back: the zero coordinates first, the support's
+# witness shifted by z, its recorded automorphisms mapped through the
+# support, and then the padded table's transpositions of equal columns.
+# A stopped search strips the z leading zero columns from stop, and
+# searches the padded code when stop lacks them.  Codes of other lengths
+# with the same support read the same entry, so an enumeration reuses the
+# searches of shorter lengths: every self-orthogonal code qualifies, so
+# every enumeration child does.
 # ---------------------------------------------------------------------------
 
 
@@ -359,9 +374,11 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
 # Generators of a code's automorphism group, as tuples of images.
 Generators = Tuple[Tuple[int, ...], ...]
 
-# Far above one process's traffic: a perfbench enumerate pass holds 154-155
-# entries, an equiv pass 184, 92 of them from stopped searches, and a cold
-# length-16 "div4" enumeration 570.
+# Above one process's traffic: a perfbench enumerate pass holds 155-156
+# entries, an equiv pass 301, from 181 searches of which 90 stopped, and a
+# cold "div4" enumeration 786 at length 16 and 2,713 at length 18, where
+# the cap is 1.5 times that.  A search of a code with zero coordinates
+# leaves two entries, its own and its support's.
 _SEARCH_CACHE_SIZE = 4096
 
 # Nodes one canonical search may visit: over 40 times the most any search
@@ -406,8 +423,8 @@ def _canonical_search(
         return _dual(canon), images, auts
     support = _support(code)
     z = k - support.bit_count()
-    if not z or 2 * code.dim > k - z or stop is not None and any(
-            g & ((1 << z) - 1) for g in stop.generators):
+    if not z or 2 * code.dim > k - z or (stop is not None and any(
+            g & ((1 << z) - 1) for g in stop.generators)):
         return _search(code, stop)
     sub, kept = reduce(code)
     # the support's stop is stop without its z leading zero columns; a full
@@ -415,8 +432,9 @@ def _canonical_search(
     canon, sub_images, sub_auts = _canonical_search(sub) if stop is None \
         else _canonical_search(
             sub, BinaryCode(k - z, tuple(g >> z for g in stop.generators)))
+    zeros = [c for c in range(k) if not support >> c & 1]
     images = [0] * k
-    for pos, c in enumerate(c for c in range(k) if not support >> c & 1):
+    for pos, c in enumerate(zeros):
         images[c] = pos
     for c, pos in zip(kept, sub_images):
         images[c] = z + pos
@@ -614,12 +632,13 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
 
 def _equal_columns(table: List[int]
                    ) -> Tuple[List[Tuple[int, ...]], List[int], int]:
-    """Equal columns agree on every codeword, so at any search node only
-    the smallest unused column of each class need be tried.  Returns the
-    transposition of each column with the previous one of its class, in
-    column order; ``after``, where taking column c hands the mark on to
-    the next column of its class, ``after[c]``; and ``firsts``, which
-    marks the smallest column of each class."""
+    """The classes of equal columns of a column table.
+
+    Equal columns agree on every codeword, so at any search node only the
+    smallest unused column of each class need be tried: ``firsts`` marks
+    the smallest of each class, and taking column c hands the mark on to
+    the next column of its class, ``after[c]``.  ``swaps`` transposes each
+    column with the previous one of its class, in column order."""
     k = len(table)
     swaps: List[Tuple[int, ...]] = []
     after = [0] * k
@@ -775,7 +794,9 @@ def enumerate_codes(
     generators of its automorphism group that the search of that code
     returned, so no base is searched again, and with its admissible
     cosets, inherited from its base, so only the zero code reads the words
-    of admissible weight.
+    of admissible weight.  A child with zero coordinates is searched as its
+    support (see ``_canonical_search``), so a call reuses the searches of
+    the calls at shorter lengths before it.
     The levels are cached per (length, rule, min(dim_max, length)), so a
     repeated call searches nothing; a call that stops part way caches
     nothing.  Measured reach of "div4" from a cold cache on a 2-vCPU Xeon
@@ -867,7 +888,7 @@ def _extensions(
     ]
     reached = set()
     for x in cosets:
-        if x & ~zeros | packed[(x & zeros).bit_count()] in reached:
+        if (x & ~zeros | packed[(x & zeros).bit_count()]) in reached:
             continue
         # x is the smallest admissible coset of its orbit: walk the orbit
         reached.add(x)
