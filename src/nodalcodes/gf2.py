@@ -702,7 +702,8 @@ def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
 
     The returned tuple ``images`` satisfies ``permute(a, images) == b``.
     Only a is searched in full: b's search stops at its first best leaf
-    at or below a's form, and is cached per (b, form of a).
+    at or below a's form, and is cached per (b, form of a).  b is not
+    searched when its support differs in size from a's.
     """
     if a.length != b.length or a.dim != b.dim:
         return None

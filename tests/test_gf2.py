@@ -933,7 +933,7 @@ def test_support_search_is_the_padded_search(monkeypatch):
         for _ in range(800):
             n = rng.randint(2, 16)
             code = random_supported_code(rng, n, max_dim=min(8, n // 2))
-            support, kept = reduce(code)
+            support = reduce(code)[0]
             # a code of the same shape on a support of the same size
             while True:
                 other = make_code([rng.getrandbits(support.length)
