@@ -344,14 +344,16 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # each, and then walks the search of its support: the same candidates in
 # the same order, under the support's names.  So a code whose support has
 # 2 dim <= its length is searched as its support, through the cache, and
-# the result is lifted back: the zero coordinates first, the support's
-# witness shifted by z, its recorded automorphisms mapped through the
-# support, and then the padded table's transpositions of equal columns.
-# A stopped search strips the z leading zero columns from stop, and
-# searches the padded code when stop lacks them.  Codes of other lengths
-# with the same support read the same entry, so an enumeration reuses the
-# searches of shorter lengths: every self-orthogonal code qualifies, so
-# every enumeration child does.
+# the result is lifted back: the zero coordinates first, then the
+# support's witness shifted by z.  The generators are the padded search's
+# in another order: the support's, mapped through the support, then the
+# transpositions of neighbouring zero coordinates.  A stopped search
+# strips the z leading zero columns from stop; a stop without them lies
+# above every matrix of the code, so that search runs on the padded code
+# and ends at its first leaf.  Codes of other lengths with the same
+# support read the same entry, so an enumeration reuses the searches of
+# shorter lengths: every self-orthogonal code qualifies, so every
+# enumeration child does.
 # ---------------------------------------------------------------------------
 
 
@@ -375,7 +377,7 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
 Generators = Tuple[Tuple[int, ...], ...]
 
 # Above one process's traffic: a perfbench enumerate pass holds 155-156
-# entries, an equiv pass 301, from 181 searches of which 90 stopped, and a
+# entries, an equiv pass 293, from 173 searches of which 86 stopped, and a
 # cold "div4" enumeration 786 at length 16 and 2,713 at length 18, where
 # the cap is 1.5 times that.  A search of a code with zero coordinates
 # leaves two entries, its own and its support's.
@@ -423,8 +425,8 @@ def _canonical_search(
         return _dual(canon), images, auts
     support = _support(code)
     z = k - support.bit_count()
-    if not z or 2 * code.dim > k - z or (stop is not None and any(
-            g & ((1 << z) - 1) for g in stop.generators)):
+    if not z or 2 * code.dim > k - z or (
+            stop is not None and _support(stop) & ((1 << z) - 1)):
         return _search(code, stop)
     sub, kept = reduce(code)
     # the support's stop is stop without its z leading zero columns; a full
@@ -438,20 +440,21 @@ def _canonical_search(
         images[c] = pos
     for c, pos in zip(kept, sub_images):
         images[c] = z + pos
-    generators: Generators = ()
+    # the support's generators mapped through it, then the transpositions
+    # of neighbouring zero coordinates
+    auts = []
+    for sub_aut in sub_auts:
+        aut = list(range(k))
+        for c, image in zip(kept, sub_aut):
+            aut[c] = kept[image]
+        auts.append(tuple(aut))
     if stop is None:
-        # the support's recorded automorphisms, then the transpositions of
-        # equal columns: the support's and the z - 1 of the zero columns
-        swaps = _equal_columns(_columns(code))[0]
-        auts = []
-        for sub_aut in sub_auts[:len(sub_auts) - len(swaps) + z - 1]:
+        for c, d in zip(zeros, zeros[1:]):
             aut = list(range(k))
-            for c, image in zip(kept, sub_aut):
-                aut[c] = kept[image]
+            aut[c], aut[d] = d, c
             auts.append(tuple(aut))
-        generators = tuple(auts) + tuple(swaps)
     return (BinaryCode(k, tuple(g << z for g in canon.generators)),
-            tuple(images), generators)
+            tuple(images), tuple(auts))
 
 
 def _support(code: BinaryCode) -> int:
@@ -496,7 +499,23 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
     no generators."""
     k, r = code.length, code.dim
     table = _columns(code)
-    swaps, after, firsts = _equal_columns(table)
+    # Equal columns agree on every codeword, so at any search node only
+    # the smallest unused column of each class need be tried: ``firsts``
+    # marks the smallest of each class, and taking column c hands the mark
+    # on to the next column of its class, ``after[c]``.
+    swaps: List[Tuple[int, ...]] = []
+    after = [0] * k
+    last: Dict[int, int] = {}
+    firsts = 0
+    for c, col in enumerate(table):
+        if col in last:
+            swap = list(range(k))
+            swap[c], swap[last[col]] = last[col], c
+            swaps.append(tuple(swap))
+            after[last[col]] = 1 << c
+        else:
+            firsts |= 1 << c
+        last[col] = c
 
     # depth d may take only a column whose profile is the d-th smallest
     profile = _profiles(code)
@@ -630,32 +649,6 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
     return BinaryCode(k, _rows(best_cols, r)), tuple(images), generators
 
 
-def _equal_columns(table: List[int]
-                   ) -> Tuple[List[Tuple[int, ...]], List[int], int]:
-    """The classes of equal columns of a column table.
-
-    Equal columns agree on every codeword, so at any search node only the
-    smallest unused column of each class need be tried: ``firsts`` marks
-    the smallest of each class, and taking column c hands the mark on to
-    the next column of its class, ``after[c]``.  ``swaps`` transposes each
-    column with the previous one of its class, in column order."""
-    k = len(table)
-    swaps: List[Tuple[int, ...]] = []
-    after = [0] * k
-    last: Dict[int, int] = {}
-    firsts = 0
-    for c, col in enumerate(table):
-        if col in last:
-            swap = list(range(k))
-            swap[c], swap[last[col]] = last[col], c
-            swaps.append(tuple(swap))
-            after[last[col]] = 1 << c
-        else:
-            firsts |= 1 << c
-        last[col] = c
-    return swaps, after, firsts
-
-
 def _find(parent: List[int], x: int) -> int:
     """Root of x in a union-find forest, halving its path on the way."""
     while parent[x] != x:
@@ -702,15 +695,11 @@ def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
 
     The returned tuple ``images`` satisfies ``permute(a, images) == b``.
     Only a is searched in full: b's search stops at its first best leaf
-    at or below a's form, and is cached per (b, form of a).  b is not
-    searched when its support differs in size from a's.
+    at or below a's form, and is cached per (b, form of a).
     """
     if a.length != b.length or a.dim != b.dim:
         return None
     ca, imgs_a = canonical_form(a)
-    # a permutation carries the support onto the support
-    if _support(a).bit_count() != _support(b).bit_count():
-        return None
     cb, imgs_b, _ = _canonical_search(b, ca)
     if cb != ca:
         return None
