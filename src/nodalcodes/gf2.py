@@ -342,18 +342,12 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # profile, the smallest, and the zero columns are equal, so the search of a
 # code with z zero coordinates takes them first, in index order, one node
 # each, and then walks the search of its support: the same candidates in
-# the same order, under the support's names.  So a code whose support has
-# 2 dim <= its length is searched as its support, through the cache, and
-# the result is lifted back: the zero coordinates first, then the
-# support's witness shifted by z.  The generators are the padded search's
-# in another order: the support's, mapped through the support, then the
-# transpositions of neighbouring zero coordinates.  A stopped search
-# strips the z leading zero columns from stop; a stop without them lies
-# above every matrix of the code, so that search runs on the padded code
-# and ends at its first leaf.  Codes of other lengths with the same
-# support read the same entry, so an enumeration reuses the searches of
-# shorter lengths: every self-orthogonal code qualifies, so every
-# enumeration child does.
+# the same order, under the support's names.  So when the support has
+# 2 dim <= its length, the code's canonical form is its support's behind z
+# zero columns, and its automorphisms are the support's, fixing the zero
+# coordinates, and the permutations of the zero coordinates.  Enumeration
+# searches each child as its support, so children of other lengths with
+# that support read one cache entry (see ``_extensions``).
 # ---------------------------------------------------------------------------
 
 
@@ -413,48 +407,13 @@ def _canonical_search(
     stop's matrix; the entry holds that leaf and no generators, and only
     ``equivalent`` reads it.  Call a full search with ``code`` alone: the
     cache keys ``f(x)`` and ``f(x, None)`` apart.  One search leaves one
-    entry, also when it runs on the duals.  A code with zero coordinates
-    whose support has 2 dim <= its length leaves two: its own, lifted
-    from its support's, and its support's, which codes of other lengths
-    with that support then read (see the comment above).
+    entry, also when it runs on the duals.
     """
-    k = code.length
-    if 2 * code.dim > k:
+    if 2 * code.dim > code.length:
         canon, images, auts = _search(
             _dual(code), None if stop is None else _dual(stop))
         return _dual(canon), images, auts
-    support = _support(code)
-    z = k - support.bit_count()
-    if not z or 2 * code.dim > k - z or (
-            stop is not None and _support(stop) & ((1 << z) - 1)):
-        return _search(code, stop)
-    sub, kept = reduce(code)
-    # the support's stop is stop without its z leading zero columns; a full
-    # search is called with the support alone, the key canonical_form uses
-    canon, sub_images, sub_auts = _canonical_search(sub) if stop is None \
-        else _canonical_search(
-            sub, BinaryCode(k - z, tuple(g >> z for g in stop.generators)))
-    zeros = [c for c in range(k) if not support >> c & 1]
-    images = [0] * k
-    for pos, c in enumerate(zeros):
-        images[c] = pos
-    for c, pos in zip(kept, sub_images):
-        images[c] = z + pos
-    # the support's generators mapped through it, then the transpositions
-    # of neighbouring zero coordinates
-    auts = []
-    for sub_aut in sub_auts:
-        aut = list(range(k))
-        for c, image in zip(kept, sub_aut):
-            aut[c] = kept[image]
-        auts.append(tuple(aut))
-    if stop is None:
-        for c, d in zip(zeros, zeros[1:]):
-            aut = list(range(k))
-            aut[c], aut[d] = d, c
-            auts.append(tuple(aut))
-    return (BinaryCode(k, tuple(g << z for g in canon.generators)),
-            tuple(images), tuple(auts))
+    return _search(code, stop)
 
 
 def _support(code: BinaryCode) -> int:
@@ -784,9 +743,9 @@ def enumerate_codes(
     generators of its automorphism group that the search of that code
     returned, so no base is searched again, and with its admissible
     cosets, inherited from its base, so only the zero code reads the words
-    of admissible weight.  A child with zero coordinates is searched as its
-    support (see ``_canonical_search``), so a call reuses the searches of
-    the calls at shorter lengths before it.
+    of admissible weight.  A child is searched as its support (see
+    ``_extensions``), so a call reuses the searches of the calls at
+    shorter lengths before it.
     The levels are cached per (length, rule, min(dim_max, length)), so a
     repeated call searches nothing; a call that stops part way caches
     nothing.  Measured reach of "div4" from a cold cache on a 2-vCPU Xeon
@@ -850,9 +809,9 @@ def _extensions(
     coset z is admissible for the child base + <x> iff z and z + x are
     both admissible for the base, and the two name the same coset of the
     child.  The child is held as it is, not as its canonical form: its
-    generators come from its own search, and as its rows are the base's
-    plus x, the pair is named by whichever of z and z + x lacks x's lowest
-    bit.  A class already in ``found`` is skipped.
+    generators come from its support's search, and as its rows are the
+    base's plus x, the pair is named by whichever of z and z + x lacks x's
+    lowest bit.  A class already in ``found`` is skipped.
     """
     k, gens = base.length, base.generators
     pivots = [(g & -g, g) for g in gens]
@@ -894,11 +853,14 @@ def _extensions(
                 if z not in reached:
                     reached.add(z)
                     stack.append(z)
-        # the child is searched through the module attribute, where a
-        # tracer can count it; its automorphisms then come from the same
-        # cache entry
+        # the child is doubly even, so its support has 2 dim <= its length,
+        # and the child is searched as its support (see the search
+        # comment), which children of other lengths share, through the
+        # module attribute, where a tracer can count it
         child = BinaryCode(k, _rref(gens + (x,)))
-        canon = canonical_form(child)[0]
+        sub, kept = reduce(child)
+        canon = BinaryCode(k, tuple(g << (k - sub.length) for g in
+                                    canonical_form(sub)[0].generators))
         if canon in found:
             continue
         # x avoids the base's pivots, so the child's rows are the base's
@@ -906,7 +868,21 @@ def _extensions(
         p = x & -x
         carried = tuple(sorted(z ^ x if z & p else z for z in cosets
                                if z < z ^ x and z ^ x in admissible))
-        found[canon] = child, _canonical_search(child)[2], carried
+        # Aut(child): the support's automorphisms, from the same cache
+        # entry, fixing the zero coordinates, and the transpositions of
+        # neighbouring zero coordinates
+        auts = []
+        for sub_aut in _canonical_search(sub)[2]:
+            aut = list(range(k))
+            for c, image in zip(kept, sub_aut):
+                aut[c] = kept[image]
+            auts.append(tuple(aut))
+        free = [c for c in range(k) if c not in kept]
+        for c, d in zip(free, free[1:]):
+            aut = list(range(k))
+            aut[c], aut[d] = d, c
+            auts.append(tuple(aut))
+        found[canon] = child, tuple(auts), carried
 
 
 def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:
