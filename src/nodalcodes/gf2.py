@@ -779,7 +779,7 @@ def _levels(length: int, weights: str, depth: int
         if ok(h)
         for supp in combinations([1 << i for i in range(length)], h)
     ))
-    frontier = ((zero, _canonical_search(zero)[2], pool),)
+    frontier = ((zero, _automorphisms(zero), pool),)
     levels = []
     while len(levels) < depth:
         found: Dict[BinaryCode, Record] = {}
@@ -868,21 +868,28 @@ def _extensions(
         p = x & -x
         carried = tuple(sorted(z ^ x if z & p else z for z in cosets
                                if z < z ^ x and z ^ x in admissible))
-        # Aut(child): the support's automorphisms, from the same cache
-        # entry, fixing the zero coordinates, and the transpositions of
-        # neighbouring zero coordinates
-        auts = []
-        for sub_aut in _canonical_search(sub)[2]:
-            aut = list(range(k))
-            for c, image in zip(kept, sub_aut):
-                aut[c] = kept[image]
-            auts.append(tuple(aut))
-        free = [c for c in range(k) if c not in kept]
-        for c, d in zip(free, free[1:]):
-            aut = list(range(k))
-            aut[c], aut[d] = d, c
-            auts.append(tuple(aut))
-        found[canon] = child, tuple(auts), carried
+        found[canon] = child, _automorphisms(child), carried
+
+
+def _automorphisms(code: BinaryCode) -> Generators:
+    """Generators of Aut(code), from the search of its support, which codes
+    of every length with that support share: the support's, fixing the
+    zero coordinates, and the transpositions of neighbouring zero
+    coordinates."""
+    k = code.length
+    sub, kept = reduce(code)
+    auts = []
+    for sub_aut in _canonical_search(sub)[2]:
+        aut = list(range(k))
+        for c, image in zip(kept, sub_aut):
+            aut[c] = kept[image]
+        auts.append(tuple(aut))
+    zeros = [c for c in range(k) if c not in kept]
+    for c, d in zip(zeros, zeros[1:]):
+        aut = list(range(k))
+        aut[c], aut[d] = d, c
+        auts.append(tuple(aut))
+    return tuple(auts)
 
 
 def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:
