@@ -370,11 +370,9 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
 # Generators of a code's automorphism group, as tuples of images.
 Generators = Tuple[Tuple[int, ...], ...]
 
-# Above one process's traffic: a perfbench enumerate pass holds 155-156
-# entries, an equiv pass 293, from 173 searches of which 86 stopped, and a
-# cold "div4" enumeration 786 at length 16 and 2,713 at length 18, where
-# the cap is 1.5 times that.  A search of a code with zero coordinates
-# leaves two entries, its own and its support's.
+# Far above one process's traffic: a perfbench enumerate pass holds 81-82
+# entries, an equiv pass 184, 92 of them from stopped searches, and a cold
+# "div4" enumeration 570 at length 16 and 1,885 at length 18.
 _SEARCH_CACHE_SIZE = 4096
 
 # Nodes one canonical search may visit: over 40 times the most any search
@@ -801,7 +799,8 @@ def _extensions(
     """Add to ``found``, keyed by canonical form, the codes spanned by
     ``base`` and one of its admissible ``cosets`` whose class it does not
     hold yet, each with generators of its automorphism group and its own
-    admissible cosets; ``generators`` generate Aut(base).
+    admissible cosets; ``generators`` generate Aut(base), as
+    ``_automorphisms`` gives them.
 
     An automorphism σ of the base maps base + w onto base + σ(w), so one
     coset per orbit of Aut(base) needs a canonical search (McKay,
@@ -816,12 +815,15 @@ def _extensions(
     k, gens = base.length, base.generators
     pivots = [(g & -g, g) for g in gens]
     admissible = set(cosets)
-    # Aut(base) holds Sym(zeros), the permutations of the zero coordinates,
-    # as a normal subgroup: so the walk names each coset by its Sym(zeros)
-    # orbit, its zero-coordinate bits packed onto the lowest of them
-    # (packed[i] is the lowest i), and needs only the generators that move
-    # a coordinate of the support.  A packed name is the smallest of its
-    # orbit, so the smallest coset of each orbit is still found first
+    # Aut(base) is Aut(support) x Sym(zeros), Sym(zeros) the permutations
+    # of the zero coordinates, and ``_automorphisms`` gives it as
+    # generators of Aut(support), which fix the zero coordinates, and
+    # transpositions of zero coordinates.  So the walk names each coset by
+    # its Sym(zeros) orbit, its zero-coordinate bits packed onto the lowest
+    # of them (packed[i] is the lowest i), and walks with the generators
+    # that move the support, which keep those bits.  A packed name is the
+    # smallest of its orbit, so the smallest coset of each orbit is still
+    # found first
     zeros = ((1 << k) - 1) & ~_support(base)
     packed = [0]
     for c in range(k):
@@ -849,7 +851,6 @@ def _extensions(
                 for bit, delta in moved:
                     if y & bit:
                         z ^= delta
-                z = z & ~zeros | packed[(z & zeros).bit_count()]
                 if z not in reached:
                     reached.add(z)
                     stack.append(z)
