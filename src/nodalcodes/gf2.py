@@ -371,8 +371,11 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
 Generators = Tuple[Tuple[int, ...], ...]
 
 # Far above one process's traffic: a perfbench enumerate pass holds 81-82
-# entries, an equiv pass 184, 92 of them from stopped searches, and a cold
-# "div4" enumeration 570 at length 16 and 1,885 at length 18.
+# entries, an equiv pass 184, 92 of them from stopped searches.  It must
+# also exceed the searches of one enumeration, because each base reads its
+# automorphisms back from the entry its support's search left, and an
+# evicted entry is searched again: a cold "div4" enumeration runs 570 at
+# length 16, 1,885 at 18 and 3,603 at 19, the longest that finishes.
 _SEARCH_CACHE_SIZE = 4096
 
 # Nodes one canonical search may visit: over 40 times the most any search
@@ -412,14 +415,6 @@ def _canonical_search(
             _dual(code), None if stop is None else _dual(stop))
         return _dual(canon), images, auts
     return _search(code, stop)
-
-
-def _support(code: BinaryCode) -> int:
-    """The mask of the coordinates where some word of the code is 1."""
-    mask = 0
-    for g in code.generators:
-        mask |= g
-    return mask
 
 
 def _columns(code: BinaryCode) -> List[int]:
@@ -719,8 +714,8 @@ def _weight_rule(length: int, weights: str, dim_min: int, dim_max: int):
 Cosets = Tuple[int, ...]
 
 # A class as the first code of it the enumeration reached, not its canonical
-# form, with generators of its automorphism group and its admissible cosets.
-Record = Tuple[BinaryCode, Generators, Cosets]
+# form, with its admissible cosets.
+Record = Tuple[BinaryCode, Cosets]
 
 
 def enumerate_codes(
@@ -737,20 +732,22 @@ def enumerate_codes(
     sorted by (dimension, generator matrix).  Every class of dimension
     d + 1 is a class of dimension d plus one word, and a base is extended
     by one word per orbit of its automorphism group (see ``_extensions``).
-    A class is extended as the first code that reached it, with the
-    generators of its automorphism group that the search of that code
-    returned, so no base is searched again, and with its admissible
-    cosets, inherited from its base, so only the zero code reads the words
-    of admissible weight.  A child is searched as its support (see
-    ``_extensions``), so a call reuses the searches of the calls at
-    shorter lengths before it.
+    A class is extended as the first code that reached it, with its
+    admissible cosets, inherited from its base, so only the zero code reads
+    the words of admissible weight.  A child is searched as its support,
+    so a call reuses the searches of the calls at shorter lengths before
+    it; as a base, its automorphisms are those of its support, read back
+    from that search's cache entry, and the permutations of its zero
+    coordinates, so no base is searched again.
     The levels are cached per (length, rule, min(dim_max, length)), so a
     repeated call searches nothing; a call that stops part way caches
     nothing.  Measured reach of "div4" from a cold cache on a 2-vCPU Xeon
     VM (Python 3.11): about 0.03-0.04 s at length 13, 0.08-0.1 s at 14,
     0.17-0.21 s at 15, 0.84-0.95 s at 16, where both doubly even self-dual
-    classes (e8 + e8 and d16+) appear, 1.6-1.8 s at 17 and 5.5-6.5 s at
-    18.
+    classes (e8 + e8 and d16+) appear, 1.6-1.8 s at 17, 5.5-6.5 s at
+    18 and about 7 s at 19, with 532 classes and 3,603 searches.  At 20 a
+    search of a [20,8] code passes ``_SEARCH_NODE_BUDGET`` and the call
+    ends in ``SearchBudgetError``.
     """
     _weight_rule(length, weights, dim_min, dim_max)
     levels = _levels(length, weights, min(dim_max, length))
@@ -769,7 +766,6 @@ def _levels(length: int, weights: str, depth: int
     if not depth:
         return ()
     ok = _weight_rule(length, weights, 0, depth)
-    zero = zero_code(length)
     # the zero code's cosets are the admissible words
     pool = tuple(sorted(
         sum(supp)
@@ -777,12 +773,12 @@ def _levels(length: int, weights: str, depth: int
         if ok(h)
         for supp in combinations([1 << i for i in range(length)], h)
     ))
-    frontier = ((zero, _automorphisms(zero), pool),)
+    frontier = ((zero_code(length), pool),)
     levels = []
     while len(levels) < depth:
         found: Dict[BinaryCode, Record] = {}
-        for base, generators, cosets in frontier:
-            _extensions(base, generators, cosets, found)
+        for base, cosets in frontier:
+            _extensions(base, cosets, found)
         if not found:
             break
         levels.append(tuple(sorted(found, key=lambda c: c.generators)))
@@ -792,50 +788,47 @@ def _levels(length: int, weights: str, depth: int
 
 def _extensions(
     base: BinaryCode,
-    generators: Generators,
     cosets: Cosets,
     found: Dict[BinaryCode, Record],
 ) -> None:
     """Add to ``found``, keyed by canonical form, the codes spanned by
     ``base`` and one of its admissible ``cosets`` whose class it does not
-    hold yet, each with generators of its automorphism group and its own
-    admissible cosets; ``generators`` generate Aut(base), as
-    ``_automorphisms`` gives them.
+    hold yet, each with its own admissible cosets.
 
     An automorphism σ of the base maps base + w onto base + σ(w), so one
     coset per orbit of Aut(base) needs a canonical search (McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  A
-    coset z is admissible for the child base + <x> iff z and z + x are
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    Aut(base) is Aut(support) x Sym(zeros), Sym(zeros) the permutations
+    of the zero coordinates (see the search comment).  The walk names each
+    coset by its Sym(zeros) orbit and moves it by generators of
+    Aut(support), read from the cache entry of the support's search, which
+    the base's class left when it was found, so no base is searched again.
+    A coset z is admissible for the child base + <x> iff z and z + x are
     both admissible for the base, and the two name the same coset of the
-    child.  The child is held as it is, not as its canonical form: its
-    generators come from its support's search, and as its rows are the
-    base's plus x, the pair is named by whichever of z and z + x lacks x's
-    lowest bit.  A class already in ``found`` is skipped.
+    child.  The child is held as it is, not as its canonical form: as its
+    rows are the base's plus x, the pair is named by whichever of z and
+    z + x lacks x's lowest bit.  A class already in ``found`` is skipped.
     """
     k, gens = base.length, base.generators
     pivots = [(g & -g, g) for g in gens]
     admissible = set(cosets)
-    # Aut(base) is Aut(support) x Sym(zeros), Sym(zeros) the permutations
-    # of the zero coordinates, and ``_automorphisms`` gives it as
-    # generators of Aut(support), which fix the zero coordinates, and
-    # transpositions of zero coordinates.  So the walk names each coset by
-    # its Sym(zeros) orbit, its zero-coordinate bits packed onto the lowest
-    # of them (packed[i] is the lowest i), and walks with the generators
-    # that move the support, which keep those bits.  A packed name is the
-    # smallest of its orbit, so the smallest coset of each orbit is still
-    # found first
-    zeros = ((1 << k) - 1) & ~_support(base)
+    sub, kept = reduce(base)
+    # a coset's Sym(zeros) orbit is named by its zero-coordinate bits
+    # packed onto the lowest zero coordinates (packed[i] is the lowest i),
+    # the smallest name of the orbit, so the smallest coset of each orbit
+    # is still found first
     packed = [0]
     for c in range(k):
-        if zeros >> c & 1:
+        if c not in kept:
             packed.append(packed[-1] | 1 << c)
-    # the coset map of a generator is linear and the cosets' words avoid
-    # the pivot columns, so only the moved coordinates change a word
+    zeros = packed[-1]
+    # a generator of Aut(support) acts on the base through ``kept`` and
+    # fixes the zero bits; its coset map is linear and the cosets' words
+    # avoid the pivot columns, so only the moved coordinates change a word
     maps = [
-        [(1 << c, (1 << c) ^ _coset(1 << perm[c], pivots))
-         for c in range(k) if perm[c] != c]
-        for perm in generators
-        if any(perm[c] != c for c in range(k) if not zeros >> c & 1)
+        [(1 << c, (1 << c) ^ _coset(1 << kept[image], pivots))
+         for c, image in zip(kept, perm) if kept[image] != c]
+        for perm in _canonical_search(sub)[2]
     ]
     reached = set()
     for x in cosets:
@@ -869,28 +862,7 @@ def _extensions(
         p = x & -x
         carried = tuple(sorted(z ^ x if z & p else z for z in cosets
                                if z < z ^ x and z ^ x in admissible))
-        found[canon] = child, _automorphisms(child), carried
-
-
-def _automorphisms(code: BinaryCode) -> Generators:
-    """Generators of Aut(code), from the search of its support, which codes
-    of every length with that support share: the support's, fixing the
-    zero coordinates, and the transpositions of neighbouring zero
-    coordinates."""
-    k = code.length
-    sub, kept = reduce(code)
-    auts = []
-    for sub_aut in _canonical_search(sub)[2]:
-        aut = list(range(k))
-        for c, image in zip(kept, sub_aut):
-            aut[c] = kept[image]
-        auts.append(tuple(aut))
-    zeros = [c for c in range(k) if c not in kept]
-    for c, d in zip(zeros, zeros[1:]):
-        aut = list(range(k))
-        aut[c], aut[d] = d, c
-        auts.append(tuple(aut))
-    return tuple(auts)
+        found[canon] = child, carried
 
 
 def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:

@@ -870,13 +870,31 @@ def test_stopped_entry_keeps_no_generators(monkeypatch, a):
         gf2._canonical_search.cache_clear()
 
 
+def lifted_generators(length, kept, sub_generators):
+    # Aut(support), acting through kept and fixing the zero coordinates,
+    # and the transpositions of neighbouring zero coordinates
+    lifted = set()
+    for sub_aut in sub_generators:
+        aut = list(range(length))
+        for c, image in zip(kept, sub_aut):
+            aut[c] = kept[image]
+        lifted.add(tuple(aut))
+    zeros = [c for c in range(length) if c not in kept]
+    for c, d in zip(zeros, zeros[1:]):
+        aut = list(range(length))
+        aut[c], aut[d] = d, c
+        lifted.add(tuple(aut))
+    return lifted
+
+
 def test_support_search_is_the_padded_search(monkeypatch):
     # enumeration searches a child as its support: the search of a code
     # whose support has 2 dim <= its length takes the zero coordinates
     # first, one node each, and then walks its support's search, so its
     # form is the support's behind the zero columns, its witness the
-    # support's shifted past them, its generators, in some order, those
-    # _automorphisms lifts from the support's, and its fewest passing
+    # support's shifted past them, its generators the support's, lifted,
+    # and the transpositions of neighbouring zero coordinates, which the
+    # orbit walk folds into its coset names, and its fewest passing
     # budget the support's plus one node per zero coordinate
     rng = random.Random(1982)
     full = gf2._SEARCH_NODE_BUDGET
@@ -890,12 +908,12 @@ def test_support_search_is_the_padded_search(monkeypatch):
             continue
         padded += 1
         form, witness, generators = gf2._search(code)
-        sub_form, sub_witness, _ = gf2._search(support)
+        sub_form, sub_witness, sub_generators = gf2._search(support)
         assert form.generators == tuple(g << z for g in sub_form.generators)
         zeros = [c for c in range(n) if c not in kept]
         assert [witness[c] for c in zeros] == list(range(z))
         assert [witness[c] for c in kept] == [z + w for w in sub_witness]
-        assert sorted(gf2._automorphisms(code)) == sorted(generators)
+        assert lifted_generators(n, kept, sub_generators) == set(generators)
         assert fewest_nodes(monkeypatch, code) == \
             z + fewest_nodes(monkeypatch, support)
         monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", full)
@@ -1087,15 +1105,16 @@ def brute_cosets(code, weights):
 
 def recorded_extensions(monkeypatch, weights, lengths):
     # enumerate each length from an empty cache, recording each base, the
-    # code that first reached its class, with the generators and cosets it
-    # is extended with
+    # code that first reached its class, with the cosets it is extended
+    # with, and yield it with the generators of its own search, which does
+    # not go through its support
     gf2._levels.cache_clear()
     extend = gf2._extensions
     given = {}
 
-    def recording(base, generators, cosets, found):
-        given[base] = generators, list(cosets)
-        extend(base, generators, cosets, found)
+    def recording(base, cosets, found):
+        given[base] = list(cosets)
+        extend(base, cosets, found)
 
     monkeypatch.setattr(gf2, "_extensions", recording)
     for length in lengths:
@@ -1104,14 +1123,16 @@ def recorded_extensions(monkeypatch, weights, lengths):
         forms = [canonical_form(base)[0] for base in given]
         assert sorted(forms, key=lambda c: (c.dim, c.generators)) == \
             classes, length
-        yield length, [(base,) + record for base, record in given.items()]
+        yield length, [(base, gf2._canonical_search(base)[2], cosets)
+                       for base, cosets in given.items()]
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
 def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
-    # a class is extended as the code that first reached it, with the
-    # automorphism generators of that code's search: they must generate its
-    # whole automorphism group, or orbits of cosets are split wrongly
+    # a class is extended as the code that first reached it, and its walk
+    # takes Aut of that code as its support's group, lifted, and the
+    # permutations of its zero coordinates: they must generate its whole
+    # automorphism group, or orbits of cosets are split wrongly
     for length, records in recorded_extensions(monkeypatch, weights,
                                                range(1, 10)):
         for cls, generators, _ in records:
@@ -1119,12 +1140,14 @@ def test_enumeration_carries_each_class_automorphisms(monkeypatch, weights):
             # takes seconds
             if not cls.dim:
                 continue
-            # the given group lies in Aut and holds the search's
-            # generators, which generate Aut
-            for g in generators:
+            sub, kept = reduce(cls)
+            walked = lifted_generators(length, kept,
+                                       gf2._canonical_search(sub)[2])
+            # the walk's group lies in Aut and holds the generators of
+            # the code's own search, which generate Aut
+            for g in walked:
                 assert permute(cls, g) == cls, cls
-            assert group(length, generators) >= \
-                set(gf2._canonical_search(cls)[2]), cls
+            assert group(length, walked) >= set(generators), cls
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
@@ -1147,9 +1170,9 @@ def test_enumeration_ranges_are_slices_of_the_full_list(monkeypatch,
     extend, form = gf2._extensions, gf2.canonical_form
     extended, formed = [], []
 
-    def recording(base, generators, cosets, found):
+    def recording(base, cosets, found):
         extended.append(base)
-        extend(base, generators, cosets, found)
+        extend(base, cosets, found)
 
     def counting_form(code):
         formed.append(code)
@@ -1183,12 +1206,12 @@ def test_enumeration_survives_an_interrupted_level(monkeypatch):
     class Interrupted(Exception):
         pass
 
-    def interrupted(base, generators, cosets, found):
+    def interrupted(base, cosets, found):
         bases.append(base)
         if sum(b.dim == 3 for b in bases) == 2:
             assert found
             raise Interrupted
-        extend(base, generators, cosets, found)
+        extend(base, cosets, found)
 
     monkeypatch.setattr(gf2, "_extensions", interrupted)
     with pytest.raises(Interrupted):
@@ -1306,9 +1329,13 @@ def unpacked_orbit_representatives(base, generators, cosets):
 def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
                                                           weights):
     # the orbit walk packs the bits of the base's zero coordinates and
-    # drops the generators that move only those; each base must still
-    # canonicalize the supports of the children a walk over every coset
-    # of Aut(base) does, in order
+    # moves cosets only by the generators of its support's group; each
+    # base must still canonicalize the supports of the children a walk
+    # over every coset of Aut(base), by the generators of the base's own
+    # search, does, in order.  The enumeration's bases have supports
+    # 0..m-1, as each representative's zero bits are the lowest zeros, so
+    # each padded base is also checked read backwards, its support at the
+    # top, where the walk must lift through the support's coordinates
     extend, form = gf2._extensions, gf2.canonical_form
     formed, padded = [], []
 
@@ -1316,15 +1343,21 @@ def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
         formed.append(code)
         return form(code)
 
-    def checking(base, generators, cosets, found):
+    def check(base, cosets, found):
         formed.clear()
-        extend(base, generators, cosets, found)
+        extend(base, cosets, found)
+        generators = gf2._canonical_search(base)[2]
         assert formed == [
             reduce(make_code(base.generators + (x,), base.length))[0]
             for x in unpacked_orbit_representatives(base, generators,
                                                     cosets)], base
+
+    def checking(base, cosets, found):
+        check(base, cosets, found)
         if base.dim and reduce(base)[0].length < base.length:
             padded.append(base)
+            flipped = permute(base, range(base.length - 1, -1, -1))
+            check(flipped, brute_cosets(flipped, weights), {})
 
     monkeypatch.setattr(gf2, "canonical_form", counting_form)
     monkeypatch.setattr(gf2, "_extensions", checking)
@@ -1332,6 +1365,38 @@ def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
     for length in range(1, 11):
         enumerate_codes(length, weights, 0, length)
     assert len(padded) >= 10
+
+
+@pytest.mark.parametrize("weights", ["4", "div4"])
+def test_orbit_walk_moves_only_support_coordinates(monkeypatch, weights):
+    # Sym(zeros) lives only in the packed coset names, so the walk's coset
+    # maps move support coordinates alone: every word a base hands _coset
+    # is one bit of its support.  A walk that also moved zero coordinates
+    # would find the same orbits, as the test above checks, yet the zero
+    # code's walk would apply its k - 1 zero transpositions to every
+    # admissible word
+    extend, coset = gf2._extensions, gf2._coset
+    bases, handed = [], []
+
+    def extending(base, cosets, found):
+        bases.append(base)
+        extend(base, cosets, found)
+
+    def naming(w, pivots):
+        handed.append((bases[-1], w))
+        return coset(w, pivots)
+
+    monkeypatch.setattr(gf2, "_extensions", extending)
+    monkeypatch.setattr(gf2, "_coset", naming)
+    gf2._levels.cache_clear()
+    for length in range(1, 11):
+        enumerate_codes(length, weights, 0, length)
+    padded = 0
+    for base, w in handed:
+        kept = reduce(base)[1]
+        assert w.bit_count() == 1 and w.bit_length() - 1 in kept, (base, w)
+        padded += len(kept) < base.length
+    assert padded >= 10
 
 
 def gray_weights(code):
