@@ -336,7 +336,7 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 #
 # The search also returns generators of Aut(C), and the results are cached,
 # so enumeration reads the automorphisms of each class it has canonicalized
-# instead of searching the class again (see ``_extensions``).
+# instead of searching the class again (see ``_representatives``).
 #
 # Zero coordinates cost nothing.  A zero coordinate has the all-zero
 # profile, the smallest, and the zero columns are equal, so the search of a
@@ -370,17 +370,18 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
 # Generators of a code's automorphism group, as tuples of images.
 Generators = Tuple[Tuple[int, ...], ...]
 
-# Far above one process's traffic: a perfbench enumerate pass holds 81-82
+# Far above one process's traffic: a perfbench enumerate pass holds 53
 # entries, an equiv pass 184, 92 of them from stopped searches.  It must
 # also exceed the searches of one enumeration, because each base reads its
 # automorphisms back from the entry its support's search left, and an
-# evicted entry is searched again: a cold "div4" enumeration runs 570 at
-# length 16, 1,885 at 18 and 3,603 at 19, the longest that finishes.
+# evicted entry is searched again: a cold "div4" enumeration runs 145 at
+# length 16, 341 at 18 and 540 at 19, the longest that finishes, and
+# 1,227 at 20 before its budget error.
 _SEARCH_CACHE_SIZE = 4096
 
-# Nodes one canonical search may visit: over 40 times the most any search
-# of a cold length-17 "div4" enumeration visits (5,467), and 4 times the
-# most at length 18 (54,639).  Codes whose coordinates one round of
+# Nodes one canonical search may visit: over 80 times the most any search
+# of a cold length-17 "div4" enumeration visits (2,610), and 7 times the
+# most at lengths 18 and 19 (30,423).  Codes whose coordinates one round of
 # refinement cannot split, such as those of Latin square graphs of order 5,
 # pass it in 2-3 s instead of running on.
 _SEARCH_NODE_BUDGET = 220_000
@@ -731,7 +732,10 @@ def enumerate_codes(
     nonzero weight divisible by 4).  Codes are returned in canonical form,
     sorted by (dimension, generator matrix).  Every class of dimension
     d + 1 is a class of dimension d plus one word, and a base is extended
-    by one word per orbit of its automorphism group (see ``_extensions``).
+    by one word per orbit of its automorphism group, into only the
+    children whose least hyperplane, by the weight distribution of its
+    coset, is the base (see ``_extensions``), so about one child per class
+    is searched.
     A class is extended as the first code that reached it, with its
     admissible cosets, inherited from its base, so only the zero code reads
     the words of admissible weight.  A child is searched as its support,
@@ -742,12 +746,12 @@ def enumerate_codes(
     The levels are cached per (length, rule, min(dim_max, length)), so a
     repeated call searches nothing; a call that stops part way caches
     nothing.  Measured reach of "div4" from a cold cache on a 2-vCPU Xeon
-    VM (Python 3.11): about 0.03-0.04 s at length 13, 0.08-0.1 s at 14,
-    0.17-0.21 s at 15, 0.84-0.95 s at 16, where both doubly even self-dual
-    classes (e8 + e8 and d16+) appear, 1.6-1.8 s at 17, 5.5-6.5 s at
-    18 and about 7 s at 19, with 532 classes and 3,603 searches.  At 20 a
-    search of a [20,8] code passes ``_SEARCH_NODE_BUDGET`` and the call
-    ends in ``SearchBudgetError``.
+    VM (Python 3.11): about 0.01 s at length 13, 0.025 s at 14, 0.045 s
+    at 15, 0.17 s at 16, where both doubly even self-dual classes
+    (e8 + e8 and d16+) appear, 0.26-0.28 s at 17, 0.95-1.0 s at 18, with
+    341 searches, and 1.8-1.9 s at 19, with 532 classes and 540 searches.
+    At 20 a search of a [20,8] code passes ``_SEARCH_NODE_BUDGET`` and the
+    call ends in ``SearchBudgetError``.
     """
     _weight_rule(length, weights, dim_min, dim_max)
     levels = _levels(length, weights, min(dim_max, length))
@@ -797,56 +801,35 @@ def _extensions(
 
     An automorphism σ of the base maps base + w onto base + σ(w), so one
     coset per orbit of Aut(base) needs a canonical search (McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
-    Aut(base) is Aut(support) x Sym(zeros), Sym(zeros) the permutations
-    of the zero coordinates (see the search comment).  The walk names each
-    coset by its Sym(zeros) orbit and moves it by generators of
-    Aut(support), read from the cache entry of the support's search, which
-    the base's class left when it was found, so no base is searched again.
-    A coset z is admissible for the child base + <x> iff z and z + x are
-    both admissible for the base, and the two name the same coset of the
-    child.  The child is held as it is, not as its canonical form: as its
-    rows are the base's plus x, the pair is named by whichever of z and
-    z + x lacks x's lowest bit.  A class already in ``found`` is skipped.
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998; see
+    ``_representatives``).  Of those children, one is built and searched
+    only if the base's coset is the least, by weight distribution, of the
+    cosets of its hyperplanes (``_keeps_base``; canonical deletion by an
+    invariant, McKay 1998 and Kaski and Östergård, "Classification
+    Algorithms for Codes and Designs", 2006).  Every class is still
+    reached: the class of its least hyperplane is a base, and the test is
+    constant on that base's orbits.  A class whose least cosets are not
+    all in one orbit of its group is reached more than once, and a class
+    already in ``found`` is skipped.  A coset z is admissible for the
+    child base + <x> iff z and z + x are both admissible for the base, and
+    the two name the same coset of the child.  The child is held as it
+    is, not as its canonical form: as its rows are the base's plus x, the
+    pair is named by whichever of z and z + x lacks x's lowest bit.
     """
     k, gens = base.length, base.generators
-    pivots = [(g & -g, g) for g in gens]
     admissible = set(cosets)
-    sub, kept = reduce(base)
-    # a coset's Sym(zeros) orbit is named by its zero-coordinate bits
-    # packed onto the lowest zero coordinates (packed[i] is the lowest i),
-    # the smallest name of the orbit, so the smallest coset of each orbit
-    # is still found first
-    packed = [0]
-    for c in range(k):
-        if c not in kept:
-            packed.append(packed[-1] | 1 << c)
-    zeros = packed[-1]
-    # a generator of Aut(support) acts on the base through ``kept`` and
-    # fixes the zero bits; its coset map is linear and the cosets' words
-    # avoid the pivot columns, so only the moved coordinates change a word
-    maps = [
-        [(1 << c, (1 << c) ^ _coset(1 << kept[image], pivots))
-         for c, image in zip(kept, perm) if kept[image] != c]
-        for perm in _canonical_search(sub)[2]
-    ]
-    reached = set()
-    for x in cosets:
-        if (x & ~zeros | packed[(x & zeros).bit_count()]) in reached:
-            continue
-        # x is the smallest admissible coset of its orbit: walk the orbit
-        reached.add(x)
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for moved in maps:
-                z = y
-                for bit, delta in moved:
-                    if y & bit:
-                        z ^= delta
-                if z not in reached:
-                    reached.add(z)
-                    stack.append(z)
+    words = codewords(base)
+    weights = {w.bit_count() for w in words}
+    spectrum: List[int] = []
+    for x in _representatives(base, cosets):
+        # the cosets of a child with one nonzero weight, as every child of
+        # the zero code and under "4" has, share one distribution, so the
+        # test cannot reject it: it runs where the child's words have three
+        # weights or more, 0 included
+        if len(weights | {(w ^ x).bit_count() for w in words}) > 2:
+            spectrum = spectrum or _spectrum(words)
+            if not _keeps_base(words, spectrum, x):
+                continue
         # the child is doubly even, so its support has 2 dim <= its length,
         # and the child is searched as its support (see the search
         # comment), which children of other lengths share, through the
@@ -865,6 +848,73 @@ def _extensions(
         found[canon] = child, carried
 
 
+def _representatives(base: BinaryCode, cosets: Cosets) -> List[int]:
+    """The smallest admissible coset of each orbit of Aut(base), in
+    increasing order.
+
+    Aut(base) is Aut(support) x Sym(zeros), Sym(zeros) the permutations
+    of the zero coordinates (see the search comment).  A base with at
+    most one generator x, of weight h (x = 0 for the zero code), has
+    Aut = Sym(supp x) x Sym(zeros), so the orbit of the coset {z, z + x}
+    is named by (min(a, h - a), b), where a = |z & x| and b = |z \\ x|,
+    and read off.  A larger base walks its orbits: each coset is named by
+    its Sym(zeros) orbit and moved by generators of Aut(support), read
+    from the cache entry of the support's search, which the base's class
+    left when it was found, so no base is searched again.
+    """
+    if base.dim <= 1:
+        x = sum(base.generators)
+        h = x.bit_count()
+        firsts: Dict[int, int] = {}
+        # in decreasing order, so the smallest coset of a name is kept;
+        # a(h - a) names min(a, h - a), and b < 64
+        for z in reversed(cosets):
+            a = (z & x).bit_count()
+            firsts[a * (h - a) << 6 | z.bit_count() - a] = z
+        return sorted(firsts.values())
+    k = base.length
+    pivots = [(g & -g, g) for g in base.generators]
+    sub, kept = reduce(base)
+    # a coset's Sym(zeros) orbit is named by its zero-coordinate bits
+    # packed onto the lowest zero coordinates (packed[i] is the lowest i),
+    # the smallest name of the orbit, so the smallest coset of each orbit
+    # is still found first
+    packed = [0]
+    for c in range(k):
+        if c not in kept:
+            packed.append(packed[-1] | 1 << c)
+    zeros = packed[-1]
+    # a generator of Aut(support) acts on the base through ``kept`` and
+    # fixes the zero bits; its coset map is linear and the cosets' words
+    # avoid the pivot columns, so only the moved coordinates change a
+    # word; each support coordinate's coset is named once, for them all
+    named = {c: _coset(1 << c, pivots) for c in kept}
+    maps = [
+        [(1 << c, (1 << c) ^ named[kept[image]])
+         for c, image in zip(kept, perm) if kept[image] != c]
+        for perm in _canonical_search(sub)[2]
+    ]
+    reached, out = set(), []
+    for x in cosets:
+        if (x & ~zeros | packed[(x & zeros).bit_count()]) in reached:
+            continue
+        # x is the smallest admissible coset of its orbit: walk the orbit
+        out.append(x)
+        reached.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for moved in maps:
+                z = y
+                for bit, delta in moved:
+                    if y & bit:
+                        z ^= delta
+                if z not in reached:
+                    reached.add(z)
+                    stack.append(z)
+    return out
+
+
 def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:
     """The word naming w's coset: w plus the rows, given with their pivot
     bits, whose pivots it has set."""
@@ -872,6 +922,52 @@ def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:
         if w & bit:
             w ^= g
     return w
+
+
+def _spectrum(words: List[int], x: int = 0) -> List[int]:
+    """The Walsh-Hadamard transform of the weights of the words w_i + x,
+    over the index i of ``words``, in lanes of one int: entry g is the
+    sum over i of (-1)^|g & i| 2^(width (MAX_LENGTH - |w_i + x|)), so its
+    lane MAX_LENGTH - h counts the words of weight h, signed by g.
+
+    A lane of an entry, or of the sum of two, lies within 2 len(words) of
+    0, and the lanes are 8 times as wide, so such sums compare as ints as
+    their lanes do, lexicographically from the least weight.  The
+    transform takes len(words) log2 len(words) additions, and builds no
+    table per functional.
+    """
+    width = len(words).bit_length() + 3
+    out = [1 << width * (MAX_LENGTH - (w ^ x).bit_count()) for w in words]
+    half = 1
+    while half < len(out):
+        for i in range(0, len(out), 2 * half):
+            for j in range(i, i + half):
+                a, b = out[j], out[j + half]
+                out[j], out[j + half] = a + b, a - b
+        half *= 2
+    return out
+
+
+def _keeps_base(words: List[int], spectrum: List[int], x: int) -> bool:
+    """Whether the child C = base + <x> keeps the base as its parent:
+    whether the base's coset x + base has the least weight distribution
+    of the cosets C \\ H of the hyperplanes H of C, the lesser of two
+    being the one with fewer words at the least weight where they differ.
+
+    ``words`` are the base's words and ``spectrum`` their ``_spectrum``.
+    H is the kernel of a functional f on C, g on the base's words and e
+    on x, and C \\ H holds the words with f = 1, so its count of weight h
+    is half of N_h minus lane h of spectrum[g] + (-1)^e coset[g], where
+    coset is the ``_spectrum`` of x + base.  So the base's hyperplane,
+    g = 0 and e = 1, has the least coset iff no other such sum exceeds
+    its own, and spectrum[g] + |coset[g]| is the larger of e = 0 and 1.
+    The distributions do not change under coordinate permutations, so
+    the test is constant on each orbit of Aut(base).
+    """
+    coset = _spectrum(words, x)
+    own = spectrum[0] - coset[0]
+    return all(spectrum[g] + abs(coset[g]) <= own
+               for g in range(1, len(words)))
 
 
 # ---------------------------------------------------------------------------

@@ -1054,25 +1054,27 @@ def counted_searches(monkeypatch):
 def test_enumerate_length_13_within_budget(monkeypatch):
     # the paper's range ends at k = 13; canonicalizing every admissible
     # child took about 2 s on a 2-vCPU Xeon VM, one search per orbit about
-    # 0.25 s.  The searches are counted, so one more repeated search shows
+    # 0.25 s, and one per child that keeps its base about 0.02 s: one
+    # search per class.  The searches are counted, so one more repeated
+    # search shows
     searched = counted_searches(monkeypatch)
     with within(1.0):
         classes = enumerate_codes(13, "div4", 1, 13)
     assert len(classes) == 28
     assert max(c.dim for c in classes) == 5
-    assert len(searched) == 64
+    assert len(searched) == 28
 
 
 def test_enumerate_length_16_reach(monkeypatch):
     # a cold length-16 "div4" enumeration, after a shallow one whose
     # searches it reuses, ends with both doubly even self-dual classes of
-    # length 16, e8 + e8 and d16+ (Pless and Sloane, 1975); about 1 s on a
-    # 2-vCPU Xeon VM, in a counted number of searches
+    # length 16, e8 + e8 and d16+ (Pless and Sloane, 1975); about 0.3 s on
+    # a 2-vCPU Xeon VM, in a counted number of searches
     searched = counted_searches(monkeypatch)
     with within(60):
         shallow = enumerate_codes(16, "div4", 1, 4)
         classes = enumerate_codes(16, "div4", 1, 16)
-    assert len(searched) == 570
+    assert len(searched) == 145
     assert classes[:len(shallow)] == shallow
     assert len(classes) == 145
     assert dict(Counter(c.dim for c in classes)) == {
@@ -1083,6 +1085,19 @@ def test_enumerate_length_16_reach(monkeypatch):
     d16 = make_code(list(de(8).generators) + ["01" * 8], 16)
     top = {c for c in classes if c.dim == 8}
     assert {canonical_form(c)[0] for c in (e8e8, d16)} == top
+
+
+def test_enumerate_length_18_reach(monkeypatch):
+    # a cold length-18 "div4" enumeration searches about one child per
+    # class: 1,885 searches took 4-6 s on a 2-vCPU Xeon VM before a child
+    # had to keep its base, and 341 take 1.4-1.7 s
+    searched = counted_searches(monkeypatch)
+    with within(10):
+        classes = enumerate_codes(18, "div4", 1, 18)
+    assert len(classes) == 340
+    assert dict(Counter(c.dim for c in classes)) == {
+        1: 4, 2: 13, 3: 34, 4: 72, 5: 94, 6: 79, 7: 35, 8: 9}
+    assert len(searched) < 400
 
 
 def brute_cosets(code, weights):
@@ -1286,8 +1301,8 @@ def test_neighbouring_lengths_share_searches(monkeypatch):
     # a child is searched as its support, so each length reuses the
     # searches of the shorter ones: one process enumerating neighbouring
     # lengths in turn, as the paper's case analysis does, searches each
-    # support once.  From a cold cache, each length searched alone runs 11,
-    # 11, 16, 21 and 53 searches under "div4" and 4 under "4"
+    # support once.  From a cold cache, each length searched alone runs 7,
+    # 7, 10, 12 and 24 searches under "div4" and 3 under "4", one per class
     searched = counted_searches(monkeypatch)
     counts = {}
     for weights, lengths in (("div4", range(8, 13)), ("4", range(7, 13))):
@@ -1296,8 +1311,8 @@ def test_neighbouring_lengths_share_searches(monkeypatch):
             enumerate_codes(length, weights, 1, length)
             counts[weights, length] = len(searched) - before
     assert counts == {
-        ("div4", 8): 11, ("div4", 9): 0, ("div4", 10): 5, ("div4", 11): 5,
-        ("div4", 12): 32, ("4", 7): 0, ("4", 8): 0, ("4", 9): 0,
+        ("div4", 8): 7, ("div4", 9): 0, ("div4", 10): 3, ("div4", 11): 2,
+        ("div4", 12): 12, ("4", 7): 0, ("4", 8): 0, ("4", 9): 0,
         ("4", 10): 0, ("4", 11): 0, ("4", 12): 0}
 
 
@@ -1325,6 +1340,46 @@ def unpacked_orbit_representatives(base, generators, cosets):
     return representatives
 
 
+def keeps_base(base, x):
+    # whether the coset x + base has the least weight distribution, as
+    # counts by increasing weight, among the cosets of the hyperplanes of
+    # C = base + <x>: a hyperplane is the kernel of a nonzero functional f,
+    # here read on the index i of C's words as the parity of i & f
+    words = codewords(make_code(base.generators + (x,), base.length))
+    span = set(codewords(base))
+
+    def distribution(coset):
+        counts = [0] * (base.length + 1)
+        for w in coset:
+            counts[w.bit_count()] += 1
+        return counts
+
+    own = distribution(w for w in words if w not in span)
+    return all(own <= distribution(w for i, w in enumerate(words)
+                                   if (i & f).bit_count() % 2)
+               for f in range(1, len(words)))
+
+
+def test_keeps_base_matches_brute_force():
+    # the transform's packed lanes must order the cosets as their count
+    # vectors do, on codes of any weights, not only the enumeration's
+    rng = random.Random(1998)
+    kept = tried = 0
+    for _ in range(400):
+        n = rng.randrange(6, 17)
+        base = make_code([rng.getrandbits(n) for _ in range(rng.randrange(
+            1, 6))], n)
+        x = rng.getrandbits(n)
+        if not base.dim or contains(base, x):
+            continue
+        words = codewords(base)
+        got = gf2._keeps_base(words, gf2._spectrum(words), x)
+        assert got == keeps_base(base, x), (base, x)
+        kept += got
+        tried += 1
+    assert 20 <= kept <= tried - 20
+
+
 @pytest.mark.parametrize("weights", ["4", "div4"])
 def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
                                                           weights):
@@ -1332,10 +1387,12 @@ def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
     # moves cosets only by the generators of its support's group; each
     # base must still canonicalize the supports of the children a walk
     # over every coset of Aut(base), by the generators of the base's own
-    # search, does, in order.  The enumeration's bases have supports
-    # 0..m-1, as each representative's zero bits are the lowest zeros, so
-    # each padded base is also checked read backwards, its support at the
-    # top, where the walk must lift through the support's coordinates
+    # search, does, in order, of those children that keep their base by
+    # the weight distributions of their hyperplanes' cosets.  The
+    # enumeration's bases have supports 0..m-1, as each representative's
+    # zero bits are the lowest zeros, so each padded base is also checked
+    # read backwards, its support at the top, where the walk must lift
+    # through the support's coordinates
     extend, form = gf2._extensions, gf2.canonical_form
     formed, padded = [], []
 
@@ -1350,7 +1407,8 @@ def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
         assert formed == [
             reduce(make_code(base.generators + (x,), base.length))[0]
             for x in unpacked_orbit_representatives(base, generators,
-                                                    cosets)], base
+                                                    cosets)
+            if keeps_base(base, x)], base
 
     def checking(base, cosets, found):
         check(base, cosets, found)
@@ -1365,6 +1423,49 @@ def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
     for length in range(1, 11):
         enumerate_codes(length, weights, 0, length)
     assert len(padded) >= 10
+
+
+@pytest.mark.parametrize("weights", ["4", "div4"])
+def test_one_word_bases_read_their_orbits_off(monkeypatch, weights):
+    # a base with at most one generator x names the orbit of the coset
+    # {z, z + x} by (min(a, h - a), b) instead of walking it; the names
+    # must pick the cosets that a walk over every coset, by the
+    # generators of the base's own search, picks
+    read = 0
+    for _, records in recorded_extensions(monkeypatch, weights,
+                                          range(1, 13)):
+        for base, generators, cosets in records:
+            if base.dim <= 1:
+                assert gf2._representatives(base, cosets) == \
+                    unpacked_orbit_representatives(base, generators,
+                                                   cosets), base
+                read += 1
+    assert read >= 20
+
+
+@pytest.mark.parametrize("weights", ["4", "div4"])
+def test_deletion_loses_no_class(monkeypatch, weights):
+    # a child is built only if its base's coset is the least of its
+    # hyperplanes' cosets; accepting every child finds the same classes,
+    # each length from a cold cache, with no fewer searches
+    searched = counted_searches(monkeypatch)
+    runs = []
+    for keep in (gf2._keeps_base, lambda *args: True):
+        monkeypatch.setattr(gf2, "_keeps_base", keep)
+        run = {}
+        for length in range(1, 15):
+            gf2._levels.cache_clear()
+            gf2._canonical_search.cache_clear()
+            before = len(searched)
+            classes = enumerate_codes(length, weights, 0, length)
+            run[length] = classes, len(searched) - before
+        runs.append(run)
+    real, every = runs
+    for length in range(1, 15):
+        assert real[length][0] == every[length][0], length
+        assert real[length][1] <= every[length][1], length
+    if weights == "div4":
+        assert real[14][1] < every[14][1]
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
