@@ -347,7 +347,9 @@ def permute(code: BinaryCode, images: Sequence[int]) -> BinaryCode:
 # zero columns, and its automorphisms are the support's, fixing the zero
 # coordinates, and the permutations of the zero coordinates.  Enumeration
 # searches each child as its support, so children of other lengths with
-# that support read one cache entry (see ``_extensions``).
+# that support read one cache entry (see ``_extensions``), and names the
+# orbit of a base's coset by its support part's orbit under the support's
+# group and its number of zero-coordinate bits (see ``_representatives``).
 # ---------------------------------------------------------------------------
 
 
@@ -742,14 +744,15 @@ def enumerate_codes(
     so a call reuses the searches of the calls at shorter lengths before
     it; as a base, its automorphisms are those of its support, read back
     from that search's cache entry, and the permutations of its zero
-    coordinates, so no base is searched again.
+    coordinates, so no base is searched again, and the orbit of a coset
+    is named by its support part's orbit and its number of zero bits.
     The levels are cached per (length, rule, min(dim_max, length)), so a
     repeated call searches nothing; a call that stops part way caches
     nothing.  Measured reach of "div4" from a cold cache on a 2-vCPU Xeon
-    VM (Python 3.11): about 0.01 s at length 13, 0.025 s at 14, 0.045 s
-    at 15, 0.17 s at 16, where both doubly even self-dual classes
-    (e8 + e8 and d16+) appear, 0.26-0.28 s at 17, 0.95-1.0 s at 18, with
-    341 searches, and 1.8-1.9 s at 19, with 532 classes and 540 searches.
+    VM (Python 3.11): about 0.01 s at length 13, 0.02 s at 14, 0.04 s at
+    15, 0.15 s at 16, where both doubly even self-dual classes (e8 + e8
+    and d16+) appear, 0.22-0.23 s at 17, 0.87-0.91 s at 18, with 341
+    searches, and 1.5-1.6 s at 19, with 532 classes and 540 searches.
     At 20 a search of a [20,8] code passes ``_SEARCH_NODE_BUDGET`` and the
     call ends in ``SearchBudgetError``.
     """
@@ -806,9 +809,11 @@ def _extensions(
     only if the base's coset is the least, by weight distribution, of the
     cosets of its hyperplanes (``_keeps_base``; canonical deletion by an
     invariant, McKay 1998 and Kaski and Östergård, "Classification
-    Algorithms for Codes and Designs", 2006).  Every class is still
-    reached: the class of its least hyperplane is a base, and the test is
-    constant on that base's orbits.  A class whose least cosets are not
+    Algorithms for Codes and Designs", 2006).  Ties pass, so a child
+    whose cosets share one distribution, as every child of the zero code
+    and every "4" child, is kept.  Every class is still reached: the
+    class of its least hyperplane is a base, and the test is constant on
+    that base's orbits.  A class whose least cosets are not
     all in one orbit of its group is reached more than once, and a class
     already in ``found`` is skipped.  A coset z is admissible for the
     child base + <x> iff z and z + x are both admissible for the base, and
@@ -819,23 +824,16 @@ def _extensions(
     k, gens = base.length, base.generators
     admissible = set(cosets)
     words = codewords(base)
-    weights = {w.bit_count() for w in words}
-    spectrum: List[int] = []
+    spectrum = _spectrum(words)
     for x in _representatives(base, cosets):
-        # the cosets of a child with one nonzero weight, as every child of
-        # the zero code and under "4" has, share one distribution, so the
-        # test cannot reject it: it runs where the child's words have three
-        # weights or more, 0 included
-        if len(weights | {(w ^ x).bit_count() for w in words}) > 2:
-            spectrum = spectrum or _spectrum(words)
-            if not _keeps_base(words, spectrum, x):
-                continue
+        if not _keeps_base(words, spectrum, x):
+            continue
         # the child is doubly even, so its support has 2 dim <= its length,
         # and the child is searched as its support (see the search
         # comment), which children of other lengths share, through the
         # module attribute, where a tracer can count it
         child = BinaryCode(k, _rref(gens + (x,)))
-        sub, kept = reduce(child)
+        sub = reduce(child)[0]
         canon = BinaryCode(k, tuple(g << (k - sub.length) for g in
                                     canonical_form(sub)[0].generators))
         if canon in found:
@@ -853,66 +851,62 @@ def _representatives(base: BinaryCode, cosets: Cosets) -> List[int]:
     increasing order.
 
     Aut(base) is Aut(support) x Sym(zeros), Sym(zeros) the permutations
-    of the zero coordinates (see the search comment).  A base with at
-    most one generator x, of weight h (x = 0 for the zero code), has
-    Aut = Sym(supp x) x Sym(zeros), so the orbit of the coset {z, z + x}
-    is named by (min(a, h - a), b), where a = |z & x| and b = |z \\ x|,
-    and read off.  A larger base walks its orbits: each coset is named by
-    its Sym(zeros) orbit and moved by generators of Aut(support), read
-    from the cache entry of the support's search, which the base's class
-    left when it was found, so no base is searched again.
+    of the zero coordinates (see the search comment), and a coset's name
+    avoids the pivot bits, which lie in the support.  So a coset's orbit
+    is named by the Aut(support) orbit of its support part and the
+    number of its zero-coordinate bits.  A base with at most one
+    generator x, of weight h (x = 0 for the zero code), has
+    Aut(support) = Sym(supp x), so a part of a bits is named by
+    a(h - a), which names min(a, h - a).  A larger base walks each part's
+    orbit once, by generators of Aut(support) read from the cache entry
+    of the support's search, which the base's class left when it was
+    found, so no base is searched again.
     """
-    if base.dim <= 1:
-        x = sum(base.generators)
-        h = x.bit_count()
-        firsts: Dict[int, int] = {}
-        # in decreasing order, so the smallest coset of a name is kept;
-        # a(h - a) names min(a, h - a), and b < 64
-        for z in reversed(cosets):
-            a = (z & x).bit_count()
-            firsts[a * (h - a) << 6 | z.bit_count() - a] = z
-        return sorted(firsts.values())
-    k = base.length
-    pivots = [(g & -g, g) for g in base.generators]
-    sub, kept = reduce(base)
-    # a coset's Sym(zeros) orbit is named by its zero-coordinate bits
-    # packed onto the lowest zero coordinates (packed[i] is the lowest i),
-    # the smallest name of the orbit, so the smallest coset of each orbit
-    # is still found first
-    packed = [0]
-    for c in range(k):
-        if c not in kept:
-            packed.append(packed[-1] | 1 << c)
-    zeros = packed[-1]
-    # a generator of Aut(support) acts on the base through ``kept`` and
-    # fixes the zero bits; its coset map is linear and the cosets' words
-    # avoid the pivot columns, so only the moved coordinates change a
-    # word; each support coordinate's coset is named once, for them all
-    named = {c: _coset(1 << c, pivots) for c in kept}
-    maps = [
-        [(1 << c, (1 << c) ^ named[kept[image]])
-         for c, image in zip(kept, perm) if kept[image] != c]
-        for perm in _canonical_search(sub)[2]
-    ]
-    reached, out = set(), []
-    for x in cosets:
-        if (x & ~zeros | packed[(x & zeros).bit_count()]) in reached:
-            continue
-        # x is the smallest admissible coset of its orbit: walk the orbit
-        out.append(x)
-        reached.add(x)
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for moved in maps:
-                z = y
-                for bit, delta in moved:
-                    if y & bit:
-                        z ^= delta
-                if z not in reached:
-                    reached.add(z)
-                    stack.append(z)
-    return out
+    dim = base.dim
+    support = 0
+    for g in base.generators:
+        support |= g
+    h = support.bit_count()
+    if dim > 1:
+        pivots = [(g & -g, g) for g in base.generators]
+        sub, kept = reduce(base)
+        # a generator of Aut(support) acts on the base through ``kept``;
+        # its coset map is linear and the cosets' words avoid the pivot
+        # columns, so only the moved coordinates change a word; each
+        # support coordinate's coset is named once, for them all
+        named = {c: _coset(1 << c, pivots) for c in kept}
+        maps = [
+            [(1 << c, (1 << c) ^ named[kept[image]])
+             for c, image in zip(kept, perm) if kept[image] != c]
+            for perm in _canonical_search(sub)[2]
+        ]
+        # each support part reached, with the part its walk started from
+        orbit: Dict[int, int] = {}
+    firsts: Dict[int, int] = {}
+    # in decreasing order, so the smallest coset of a name is kept; the
+    # zero bits number fewer than 64
+    for z in reversed(cosets):
+        part = z & support
+        a = part.bit_count()
+        if dim <= 1:
+            name = a * (h - a)
+        elif part in orbit:
+            name = orbit[part]
+        else:
+            name = orbit[part] = part
+            stack = [part]
+            while stack:
+                y = stack.pop()
+                for moved in maps:
+                    w = y
+                    for bit, delta in moved:
+                        if y & bit:
+                            w ^= delta
+                    if w not in orbit:
+                        orbit[w] = part
+                        stack.append(w)
+        firsts[name << 6 | z.bit_count() - a] = z
+    return sorted(firsts.values())
 
 
 def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:

@@ -1383,16 +1383,16 @@ def test_keeps_base_matches_brute_force():
 @pytest.mark.parametrize("weights", ["4", "div4"])
 def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
                                                           weights):
-    # the orbit walk packs the bits of the base's zero coordinates and
-    # moves cosets only by the generators of its support's group; each
-    # base must still canonicalize the supports of the children a walk
-    # over every coset of Aut(base), by the generators of the base's own
-    # search, does, in order, of those children that keep their base by
-    # the weight distributions of their hyperplanes' cosets.  The
-    # enumeration's bases have supports 0..m-1, as each representative's
-    # zero bits are the lowest zeros, so each padded base is also checked
-    # read backwards, its support at the top, where the walk must lift
-    # through the support's coordinates
+    # the orbit step names a coset by its support part's orbit and its
+    # number of zero bits, and moves support parts only by the generators
+    # of its support's group; each base must still canonicalize the
+    # supports of the children a walk over every coset of Aut(base), by
+    # the generators of the base's own search, does, in order, of those
+    # children that keep their base by the weight distributions of their
+    # hyperplanes' cosets.  The enumeration's bases have supports 0..m-1,
+    # as each representative's zero bits are the lowest zeros, so each
+    # padded base is also checked read backwards, its support at the top,
+    # where the walk must lift through the support's coordinates
     extend, form = gf2._extensions, gf2.canonical_form
     formed, padded = [], []
 
@@ -1426,21 +1426,24 @@ def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
-def test_one_word_bases_read_their_orbits_off(monkeypatch, weights):
-    # a base with at most one generator x names the orbit of the coset
-    # {z, z + x} by (min(a, h - a), b) instead of walking it; the names
-    # must pick the cosets that a walk over every coset, by the
-    # generators of the base's own search, picks
-    read = 0
+def test_orbit_names_pick_the_unpacked_representatives(monkeypatch,
+                                                       weights):
+    # every base names a coset's orbit by its support part's orbit, read
+    # off from one word or walked, and its number of zero-coordinate bits,
+    # instead of walking the whole coset; the names must pick the cosets
+    # that a walk over every coset, by the generators of the base's own
+    # search, picks, also where the base has two or more words and zero
+    # coordinates
+    named = padded = 0
     for _, records in recorded_extensions(monkeypatch, weights,
                                           range(1, 13)):
         for base, generators, cosets in records:
-            if base.dim <= 1:
-                assert gf2._representatives(base, cosets) == \
-                    unpacked_orbit_representatives(base, generators,
-                                                   cosets), base
-                read += 1
-    assert read >= 20
+            assert gf2._representatives(base, cosets) == \
+                unpacked_orbit_representatives(base, generators,
+                                               cosets), base
+            named += 1
+            padded += base.dim >= 2 and reduce(base)[0].length < base.length
+    assert named >= 30 and padded >= 10
 
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
@@ -1470,12 +1473,11 @@ def test_deletion_loses_no_class(monkeypatch, weights):
 
 @pytest.mark.parametrize("weights", ["4", "div4"])
 def test_orbit_walk_moves_only_support_coordinates(monkeypatch, weights):
-    # Sym(zeros) lives only in the packed coset names, so the walk's coset
-    # maps move support coordinates alone: every word a base hands _coset
-    # is one bit of its support.  A walk that also moved zero coordinates
-    # would find the same orbits, as the test above checks, yet the zero
-    # code's walk would apply its k - 1 zero transpositions to every
-    # admissible word
+    # Sym(zeros) lives only in the count of a coset's zero bits, so the
+    # walk's coset maps move support coordinates alone: every word a base
+    # hands _coset is one bit of its support.  A walk that also moved zero
+    # coordinates would find the same orbits, as the tests above check,
+    # yet it would walk each support part once per zero pattern
     extend, coset = gf2._extensions, gf2._coset
     bases, handed = [], []
 
