@@ -230,7 +230,10 @@ def identify_root_system(lat: GramLattice) -> RootSystemReport:
 
     Simple roots are taken to be the positive roots (lexicographically
     positive coordinate vector) that are not sums of two positive roots.
-    Raises if the configuration is not simply laced or not of ADE type.
+    A positive root that is not simple is a simple root plus a positive
+    root (Humphreys 1972, section 10.2), and that simple root comes first
+    in lexicographic order, so each is tested against the simple roots
+    found before it.  Raises if the configuration is not simply laced or not of ADE type.
     """
     all_roots = roots(lat)
     positive = [v for v in all_roots if v > tuple([0] * lat.rank)]
@@ -238,7 +241,7 @@ def identify_root_system(lat: GramLattice) -> RootSystemReport:
     simple = []
     for v in positive:
         if not any(
-            tuple(a - b for a, b in zip(v, w)) in pos_set for w in positive
+            tuple(a - b for a, b in zip(v, w)) in pos_set for w in simple
         ):
             simple.append(v)
 

@@ -556,6 +556,22 @@ def test_lattice_over_root_rank_limit_is_error(capsys, tmp_path):
     assert json.loads(out)["error"] == "rank 17 exceeds root-search limit 16"
 
 
+def test_lattice_at_root_rank_limit_ends_in_its_error(capsys, tmp_path):
+    # the doubled identity of rank 16 has 14,576 positive norm-2 vectors;
+    # each is tested for simplicity against the simple roots found so far,
+    # not against every positive vector, so the error comes in seconds
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({
+        "rank": 16, "scaling": "unscaled",
+        "doubled_gram": [[int(i == j) for j in range(16)]
+                         for i in range(16)]}))
+    with within(4.0):
+        rc, rep = invoke(capsys, "lattice", "identify", str(path))
+    assert rc == 1
+    assert rep["error"] == \
+        "simple roots meet with product 1/2; not simply laced"
+
+
 @pytest.mark.parametrize("gram", [[[4.7, 0], [0, "4"]], [[True, 0], [0, 4]]])
 def test_lattice_non_integer_gram_is_error(capsys, tmp_path, gram):
     path = tmp_path / "lat.json"
