@@ -746,33 +746,20 @@ def enumerate_codes(
     from that search's cache entry, and the permutations of its zero
     coordinates, so no base is searched again, and the orbit of a coset
     is named by its support part's orbit and its number of zero bits.
-    The levels are cached per (length, rule, min(dim_max, length)), so a
-    repeated call searches nothing; a call that stops part way caches
-    nothing.  Measured reach of "div4" from a cold cache on a 2-vCPU Xeon
-    VM (Python 3.11): about 0.01 s at length 13, 0.02 s at 14, 0.04 s at
-    15, 0.15 s at 16, where both doubly even self-dual classes (e8 + e8
-    and d16+) appear, 0.22-0.23 s at 17, 0.87-0.91 s at 18, with 341
-    searches, and 1.5-1.6 s at 19, with 532 classes and 540 searches.
+    A repeated call builds its levels again, and the search cache answers
+    every one of its searches.  Measured reach of "div4" from a cold
+    search cache on a 2-vCPU Xeon VM (Python 3.11): about 0.01 s at
+    length 13, 0.02 s at 14, 0.04 s at 15, 0.15 s at 16, where both
+    doubly even self-dual classes (e8 + e8 and d16+) appear, 0.22-0.23 s
+    at 17, 0.87-0.91 s at 18, with 341 searches, and 1.5-1.6 s at 19,
+    with 532 classes and 540 searches.
     At 20 a search of a [20,8] code passes ``_SEARCH_NODE_BUDGET`` and the
     call ends in ``SearchBudgetError``.
     """
-    _weight_rule(length, weights, dim_min, dim_max)
-    levels = _levels(length, weights, min(dim_max, length))
+    ok = _weight_rule(length, weights, dim_min, dim_max)
     out = [zero_code(length)] if dim_min == 0 else []
-    for level in levels[max(dim_min, 1) - 1:]:
-        out.extend(level)
-    return out
-
-
-# unbounded: two rules and depth <= length <= MAX_LENGTH bound the keys
-@lru_cache(maxsize=None)
-def _levels(length: int, weights: str, depth: int
-            ) -> Tuple[Tuple[BinaryCode, ...], ...]:
-    """The classes of dimensions 1..depth, one tuple per dimension, ending
-    at the first dimension that has none."""
-    if not depth:
-        return ()
-    ok = _weight_rule(length, weights, 0, depth)
+    if dim_max < 1:
+        return out
     # the zero code's cosets are the admissible words
     pool = tuple(sorted(
         sum(supp)
@@ -780,17 +767,18 @@ def _levels(length: int, weights: str, depth: int
         if ok(h)
         for supp in combinations([1 << i for i in range(length)], h)
     ))
-    frontier = ((zero_code(length), pool),)
-    levels = []
-    while len(levels) < depth:
+    frontier = [(zero_code(length), pool)]
+    for dim in range(1, dim_max + 1):
         found: Dict[BinaryCode, Record] = {}
         for base, cosets in frontier:
             _extensions(base, cosets, found)
         if not found:
             break
-        levels.append(tuple(sorted(found, key=lambda c: c.generators)))
-        frontier = tuple(found[canon] for canon in levels[-1])
-    return tuple(levels)
+        level = sorted(found, key=lambda c: c.generators)
+        if dim >= dim_min:
+            out.extend(level)
+        frontier = [found[canon] for canon in level]
+    return out
 
 
 def _extensions(
@@ -821,6 +809,8 @@ def _extensions(
     is, not as its canonical form: as its rows are the base's plus x, the
     pair is named by whichever of z and z + x lacks x's lowest bit.
     """
+    if not cosets:
+        return
     k, gens = base.length, base.generators
     admissible = set(cosets)
     words = codewords(base)
@@ -981,12 +971,11 @@ def parse_code(text: str) -> BinaryCode:
     if not lines:
         raise ValueError("empty code file")
     head = lines[0].split()
-    if len(head) != 2:
+    # int() also takes signs, "_" and non-ASCII digits
+    if not (len(head) == 2 and lines[0].isascii()
+            and head[0].isdigit() and head[1].isdigit()):
         raise ValueError(f"malformed header line: {lines[0]!r}")
-    try:
-        length, dim = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"malformed header line: {lines[0]!r}") from None
+    length, dim = int(head[0]), int(head[1])
     rows = lines[1:]
     if len(rows) != dim:
         raise ValueError(f"header promises {dim} rows, found {len(rows)}")

@@ -233,7 +233,8 @@ def identify_root_system(lat: GramLattice) -> RootSystemReport:
     A positive root that is not simple is a simple root plus a positive
     root (Humphreys 1972, section 10.2), and that simple root comes first
     in lexicographic order, so each is tested against the simple roots
-    found before it.  Raises if the configuration is not simply laced or not of ADE type.
+    found before it.  Raises if the configuration is not simply laced or
+    not of ADE type.
     """
     all_roots = roots(lat)
     positive = [v for v in all_roots if v > tuple([0] * lat.rank)]

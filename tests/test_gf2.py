@@ -1039,7 +1039,6 @@ def test_enumerate_matches_golden():
 def counted_searches(monkeypatch):
     # a cold enumeration's canonical searches, as a list that grows with
     # each search the cache does not answer
-    gf2._levels.cache_clear()
     gf2._canonical_search.cache_clear()
     search, searched = gf2._search, []
 
@@ -1119,11 +1118,10 @@ def brute_cosets(code, weights):
 
 
 def recorded_extensions(monkeypatch, weights, lengths):
-    # enumerate each length from an empty cache, recording each base, the
-    # code that first reached its class, with the cosets it is extended
-    # with, and yield it with the generators of its own search, which does
-    # not go through its support
-    gf2._levels.cache_clear()
+    # enumerate each length, recording each base, the code that first
+    # reached its class, with the cosets it is extended with, and yield it
+    # with the generators of its own search, which does not go through its
+    # support
     extend = gf2._extensions
     given = {}
 
@@ -1180,41 +1178,39 @@ def test_enumeration_cosets_match_span_test(monkeypatch, weights):
 def test_enumeration_ranges_are_slices_of_the_full_list(monkeypatch,
                                                         weights):
     # every dimension range lists the classes of the full enumeration in
-    # that range; a repeated call searches and extends nothing, and the
-    # caller owns the list it gets
-    extend, form = gf2._extensions, gf2.canonical_form
-    extended, formed = [], []
-
-    def recording(base, cosets, found):
-        extended.append(base)
-        extend(base, cosets, found)
-
-    def counting_form(code):
-        formed.append(code)
-        return form(code)
-
-    monkeypatch.setattr(gf2, "_extensions", recording)
-    monkeypatch.setattr(gf2, "canonical_form", counting_form)
+    # that range; a repeated call runs no search, and the caller owns the
+    # list it gets
+    searched = counted_searches(monkeypatch)
     for length in range(1, 13):
         full = enumerate_codes(length, weights, 0, length)
         for lo, hi in combinations_with_replacement(range(length + 2), 2):
             assert enumerate_codes(length, weights, lo, hi) == \
                 [c for c in full if lo <= c.dim <= hi], (length, lo, hi)
-        extended.clear()
-        formed.clear()
+        searched.clear()
         again = enumerate_codes(length, weights, 0, length + 1)
         assert again == full, length
-        assert extended == [] and formed == [], length
+        assert searched == [], length
         again.clear()
         assert enumerate_codes(length, weights, 0, length) == full, length
+
+
+def test_enumeration_remembers_no_class(monkeypatch):
+    # the search cache is gf2's only state: with it cleared before each
+    # call, a repeated call runs every search of the first again
+    searched = counted_searches(monkeypatch)
+    counts = []
+    for _ in range(2):
+        gf2._canonical_search.cache_clear()
+        before = len(searched)
+        enumerate_codes(13, "div4", 1, 13)
+        counts.append(len(searched) - before)
+    assert counts == [28, 28]
 
 
 def test_enumeration_survives_an_interrupted_level(monkeypatch):
     # an alarm or a benchmark cap can stop a level part way through; the
     # next call must then find what a cold one does
-    gf2._levels.cache_clear()
     cold = enumerate_codes(12, "div4", 0, 12)
-    gf2._levels.cache_clear()
     extend = gf2._extensions
     bases = []
 
@@ -1231,28 +1227,22 @@ def test_enumeration_survives_an_interrupted_level(monkeypatch):
     monkeypatch.setattr(gf2, "_extensions", interrupted)
     with pytest.raises(Interrupted):
         enumerate_codes(12, "div4", 0, 12)
-    assert gf2._levels.cache_info().currsize == 0
     monkeypatch.setattr(gf2, "_extensions", extend)
     assert enumerate_codes(12, "div4", 0, 12) == cold
 
 
 def test_enumeration_past_the_length_ends_at_once():
-    # a dimension range past the length asks for the levels a range
-    # ending at the length does, from the same cache entry
-    gf2._levels.cache_clear()
+    # a dimension range past the length ends at the first empty level, so
+    # it builds the levels a range ending at the length does
     exact = enumerate_codes(7, "4", 1, 7)
-    hits = gf2._levels.cache_info().hits
     with within(1.0):
         assert enumerate_codes(7, "4", 1, 10**12) == exact
     assert len(exact) == 3
-    info = gf2._levels.cache_info()
-    assert (info.hits, info.currsize) == (hits + 1, 1)
 
 
 def test_enumerate_dimension_zero_builds_no_cosets(monkeypatch):
     # the zero code's cosets are every admissible word, about 10^9 of
     # them at length 32 under "div4"; dimension 0 alone must not list them
-    gf2._levels.cache_clear()
     with within(1.0):
         assert enumerate_codes(32, "div4", 0, 0) == [zero_code(32)]
 
@@ -1276,7 +1266,6 @@ def test_enumeration_matches_mass_formula(weights):
 def test_enumeration_searches_no_base_twice(monkeypatch):
     # a base's automorphisms come from the search that found its class, so
     # every search is of a code that was canonicalized, not of the base again
-    gf2._levels.cache_clear()
     gf2._canonical_search.cache_clear()
     form, search = gf2.canonical_form, gf2._canonical_search
     formed, unformed = set(), []
@@ -1419,7 +1408,6 @@ def test_packed_orbit_walk_searches_the_unpacked_children(monkeypatch,
 
     monkeypatch.setattr(gf2, "canonical_form", counting_form)
     monkeypatch.setattr(gf2, "_extensions", checking)
-    gf2._levels.cache_clear()
     for length in range(1, 11):
         enumerate_codes(length, weights, 0, length)
     assert len(padded) >= 10
@@ -1457,7 +1445,6 @@ def test_deletion_loses_no_class(monkeypatch, weights):
         monkeypatch.setattr(gf2, "_keeps_base", keep)
         run = {}
         for length in range(1, 15):
-            gf2._levels.cache_clear()
             gf2._canonical_search.cache_clear()
             before = len(searched)
             classes = enumerate_codes(length, weights, 0, length)
@@ -1491,7 +1478,6 @@ def test_orbit_walk_moves_only_support_coordinates(monkeypatch, weights):
 
     monkeypatch.setattr(gf2, "_extensions", extending)
     monkeypatch.setattr(gf2, "_coset", naming)
-    gf2._levels.cache_clear()
     for length in range(1, 11):
         enumerate_codes(length, weights, 0, length)
     padded = 0
@@ -1566,6 +1552,10 @@ def test_parse_code_rejects_malformed():
         parse_code("7 2\n1111000\n")
     with pytest.raises(ValueError):
         parse_code("4 2\n1111\n1111\n")
+    # int() takes these header fields; a header takes ASCII digits only
+    for head in ("1_6 0", "+8 1", "8 -0", "\u0668 0"):
+        with pytest.raises(ValueError, match="malformed header line"):
+            parse_code(head + "\n")
 
 
 def test_format_code_matches_layout():
