@@ -749,10 +749,10 @@ def enumerate_codes(
     A repeated call builds its levels again, and the search cache answers
     every one of its searches.  Measured reach of "div4" from a cold
     search cache on a 2-vCPU Xeon VM (Python 3.11): about 0.01 s at
-    length 13, 0.02 s at 14, 0.04 s at 15, 0.15 s at 16, where both
-    doubly even self-dual classes (e8 + e8 and d16+) appear, 0.22-0.23 s
-    at 17, 0.87-0.91 s at 18, with 341 searches, and 1.5-1.6 s at 19,
-    with 532 classes and 540 searches.
+    length 13, 0.02 s at 14, 0.04 s at 15, 0.19-0.20 s at 16, where both
+    doubly even self-dual classes (e8 + e8 and d16+) appear, 0.29-0.31 s
+    at 17, 1.0-1.1 s at 18, with 341 searches, and 1.9-2.1 s at 19, with
+    532 classes and 540 searches.
     At 20 a search of a [20,8] code passes ``_SEARCH_NODE_BUDGET`` and the
     call ends in ``SearchBudgetError``.
     """
@@ -774,7 +774,7 @@ def enumerate_codes(
             _extensions(base, cosets, found)
         if not found:
             break
-        level = sorted(found, key=lambda c: c.generators)
+        level = sorted(found)
         if dim >= dim_min:
             out.extend(level)
         frontier = [found[canon] for canon in level]
@@ -795,7 +795,8 @@ def _extensions(
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998; see
     ``_representatives``).  Of those children, one is built and searched
     only if the base's coset is the least, by weight distribution, of the
-    cosets of its hyperplanes (``_keeps_base``; canonical deletion by an
+    cosets of its hyperplanes, which one Walsh-Hadamard transform of the
+    child's words gives (``_keeps_base``; canonical deletion by an
     invariant, McKay 1998 and Kaski and Östergård, "Classification
     Algorithms for Codes and Designs", 2006).  Ties pass, so a child
     whose cosets share one distribution, as every child of the zero code
@@ -813,10 +814,8 @@ def _extensions(
         return
     k, gens = base.length, base.generators
     admissible = set(cosets)
-    words = codewords(base)
-    spectrum = _spectrum(words)
     for x in _representatives(base, cosets):
-        if not _keeps_base(words, spectrum, x):
+        if not _keeps_base(base, x):
             continue
         # the child is doubly even, so its support has 2 dim <= its length,
         # and the child is searched as its support (see the search
@@ -873,9 +872,9 @@ def _representatives(base: BinaryCode, cosets: Cosets) -> List[int]:
         # each support part reached, with the part its walk started from
         orbit: Dict[int, int] = {}
     firsts: Dict[int, int] = {}
-    # in decreasing order, so the smallest coset of a name is kept; the
-    # zero bits number fewer than 64
-    for z in reversed(cosets):
+    # the cosets increase, so a name keeps its smallest coset and the list
+    # comes out increasing; the zero bits number fewer than 64
+    for z in cosets:
         part = z & support
         a = part.bit_count()
         if dim <= 1:
@@ -895,8 +894,8 @@ def _representatives(base: BinaryCode, cosets: Cosets) -> List[int]:
                     if w not in orbit:
                         orbit[w] = part
                         stack.append(w)
-        firsts[name << 6 | z.bit_count() - a] = z
-    return sorted(firsts.values())
+        firsts.setdefault(name << 6 | z.bit_count() - a, z)
+    return list(firsts.values())
 
 
 def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:
@@ -908,20 +907,30 @@ def _coset(w: int, pivots: List[Tuple[int, int]]) -> int:
     return w
 
 
-def _spectrum(words: List[int], x: int = 0) -> List[int]:
-    """The Walsh-Hadamard transform of the weights of the words w_i + x,
-    over the index i of ``words``, in lanes of one int: entry g is the
-    sum over i of (-1)^|g & i| 2^(width (MAX_LENGTH - |w_i + x|)), so its
-    lane MAX_LENGTH - h counts the words of weight h, signed by g.
+def _keeps_base(base: BinaryCode, x: int) -> bool:
+    """Whether the child C = base + <x> keeps the base as its parent:
+    whether the base's coset x + base has the least weight distribution
+    of the cosets C \\ H of the hyperplanes H of C, the lesser of two
+    being the one with fewer words at the least weight where they differ.
 
-    A lane of an entry, or of the sum of two, lies within 2 len(words) of
-    0, and the lanes are 8 times as wide, so such sums compare as ints as
-    their lanes do, lexicographically from the least weight.  The
-    transform takes len(words) log2 len(words) additions, and builds no
-    table per functional.
+    C's words are listed as the base's words w_i and then the words
+    w_i + x, so H is the kernel of a functional g on the index i, and the
+    Walsh-Hadamard transform of their weights, in lanes of one int, has
+    entry g the sum over i of (-1)^|g & i| 2^(width (MAX_LENGTH - |w_i|)):
+    its lane MAX_LENGTH - h counts the words of weight h in H less those
+    in C \\ H.  A lane lies within len(words) of 0 and spans 2^width =
+    16 len(words) values, so entries compare as ints as their lanes do,
+    lexicographically from the least weight, and the larger entry has the
+    lesser coset.  Entry 2^dim is the base's own hyperplane, so the base
+    is kept iff no entry but entry 0, C itself, exceeds it.  The transform
+    takes (dim + 1) 2^(dim + 1) additions, and builds no table per
+    functional.  The distributions do not change under coordinate
+    permutations, so the test is constant on each orbit of Aut(base).
     """
+    words = codewords(base)
+    words += [w ^ x for w in words]
     width = len(words).bit_length() + 3
-    out = [1 << width * (MAX_LENGTH - (w ^ x).bit_count()) for w in words]
+    out = [1 << width * (MAX_LENGTH - w.bit_count()) for w in words]
     half = 1
     while half < len(out):
         for i in range(0, len(out), 2 * half):
@@ -929,29 +938,8 @@ def _spectrum(words: List[int], x: int = 0) -> List[int]:
                 a, b = out[j], out[j + half]
                 out[j], out[j + half] = a + b, a - b
         half *= 2
-    return out
-
-
-def _keeps_base(words: List[int], spectrum: List[int], x: int) -> bool:
-    """Whether the child C = base + <x> keeps the base as its parent:
-    whether the base's coset x + base has the least weight distribution
-    of the cosets C \\ H of the hyperplanes H of C, the lesser of two
-    being the one with fewer words at the least weight where they differ.
-
-    ``words`` are the base's words and ``spectrum`` their ``_spectrum``.
-    H is the kernel of a functional f on C, g on the base's words and e
-    on x, and C \\ H holds the words with f = 1, so its count of weight h
-    is half of N_h minus lane h of spectrum[g] + (-1)^e coset[g], where
-    coset is the ``_spectrum`` of x + base.  So the base's hyperplane,
-    g = 0 and e = 1, has the least coset iff no other such sum exceeds
-    its own, and spectrum[g] + |coset[g]| is the larger of e = 0 and 1.
-    The distributions do not change under coordinate permutations, so
-    the test is constant on each orbit of Aut(base).
-    """
-    coset = _spectrum(words, x)
-    own = spectrum[0] - coset[0]
-    return all(spectrum[g] + abs(coset[g]) <= own
-               for g in range(1, len(words)))
+    own = out[len(out) // 2]
+    return all(entry <= own for entry in out[1:])
 
 
 # ---------------------------------------------------------------------------
