@@ -75,17 +75,13 @@ def _arg(*flags: str, **kwargs: object) -> tuple:
     return flags, kwargs
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems as status=error with
     exit code 1 instead of exiting with code 2 (reserved for
     contradictions)."""
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +146,8 @@ def _read_cache(path: Path, args: argparse.Namespace) -> Optional[List[str]]:
         stamp, *lines = path.read_text().splitlines()
         if stamp != _cache_stamp(len(lines)):
             return None
-        ok = nodalcodes.gf2._weight_rule(args.length, args.weights,
-                                         args.dim_min, args.dim_max)
+        admitted = nodalcodes.gf2._weight_rule(args.length, args.weights,
+                                               args.dim_min, args.dim_max)
         previous: Tuple[int, Tuple[int, ...]] = (-1, ())
         for line in lines:
             row = json.loads(line)
@@ -162,8 +158,8 @@ def _read_cache(path: Path, args: argparse.Namespace) -> Optional[List[str]]:
                     or not args.dim_min <= code.dim <= args.dim_max
                     or key <= previous
                     or nodalcodes.gf2.canonical_form(code)[0] != code
-                    or not all(ok(int(h)) for h in row["weight_enumerator"]
-                               if h != "0")):
+                    or not all(int(h) in admitted
+                               for h in row["weight_enumerator"] if h != "0")):
                 return None
             previous = key
     # arrays nested past the recursion limit raise RecursionError
@@ -471,7 +467,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(args_list)
         pretty = getattr(args, "pretty", False)
         if not hasattr(args, "handler"):
-            raise _UsageError("missing subcommand (see --help)")
+            raise ValueError("missing subcommand (see --help)")
         # the parsed arguments, minus the fields that only dispatch
         head = {"command": args.command, "inputs": {
             name: value for name, value in vars(args).items()
@@ -486,7 +482,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                         "status": status}, pretty)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (_UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         status = "error"
         text = _render({**head, "outputs": {}, "derivation": [],
                         "error": str(exc), "status": status}, pretty)

@@ -486,7 +486,6 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
     # automorphisms found so far, as image lists (auts[j][c] is where c
     # goes), each with the mask of the points it fixes
     auts: List[Tuple[List[int], int]] = []
-    generation = 0
     # after an automorphism leaf, the depth the search jumps back to
     jump = k
 
@@ -496,7 +495,7 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
 
     def descend(depth: int, used: int, reps: int, cols: List[int],
                 kmask: int, on_path: bool) -> None:
-        nonlocal best_cols, best_chosen, generation, jump, nodes
+        nonlocal best_cols, best_chosen, jump, nodes
         nodes += 1
         if nodes > _SEARCH_NODE_BUDGET:
             raise SearchBudgetError(
@@ -506,7 +505,6 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
             if not on_path:
                 best_cols = list(vals)
                 best_chosen = list(chosen)
-                generation += 1
                 if target is not None and best_cols <= target:
                     jump = -1  # every node returns
             else:
@@ -581,7 +579,7 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
                 new_kmask = kmask >> 1
             vals.append(vec)
             chosen.append(c)
-            g0 = generation
+            best = best_cols
             descend(depth + 1, used | (1 << c), reps ^ (1 << c) | after[c],
                     new_cols, new_kmask, tie)
             vals.pop()
@@ -590,7 +588,8 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
                 return
             jump = k
             explored.append(c)
-            if generation != g0:
+            # each new best leaf binds a fresh list
+            if best_cols is not best:
                 local_on_path = True
 
     descend(0, 0, firsts, table, (1 << r) - 1, False)
@@ -698,16 +697,18 @@ def recognize_de(code: BinaryCode) -> Optional[int]:
     return None if odd else m // 2
 
 
-def _weight_rule(length: int, weights: str, dim_min: int, dim_max: int):
-    """Check the arguments of ``enumerate_codes``; return its weight test."""
+def _weight_rule(length: int, weights: str, dim_min: int,
+                 dim_max: int) -> range:
+    """Check the arguments of ``enumerate_codes``; return the nonzero
+    weights its rule admits."""
     if not 1 <= length <= MAX_LENGTH:
         raise ValueError(f"length out of range: {length}")
     if not 0 <= dim_min <= dim_max:
         raise ValueError(f"invalid dimension range: [{dim_min}, {dim_max}]")
     if weights == "4":
-        return lambda h: h == 4
+        return range(4, 5)
     if weights == "div4":
-        return lambda h: h > 0 and h % 4 == 0
+        return range(4, length + 1, 4)
     raise ValueError(f"unknown weight rule: {weights!r} (use '4' or 'div4')")
 
 
@@ -756,15 +757,14 @@ def enumerate_codes(
     At 20 a search of a [20,8] code passes ``_SEARCH_NODE_BUDGET`` and the
     call ends in ``SearchBudgetError``.
     """
-    ok = _weight_rule(length, weights, dim_min, dim_max)
+    admitted = _weight_rule(length, weights, dim_min, dim_max)
     out = [zero_code(length)] if dim_min == 0 else []
     if dim_max < 1:
         return out
     # the zero code's cosets are the admissible words
     pool = tuple(sorted(
         sum(supp)
-        for h in range(4, length + 1, 4)
-        if ok(h)
+        for h in admitted
         for supp in combinations([1 << i for i in range(length)], h)
     ))
     frontier = [(zero_code(length), pool)]

@@ -85,8 +85,6 @@ def construction_a(code: BinaryCode, scaling: str) -> GramLattice:
     code to be doubly even (otherwise the result is not even integral);
     "unscaled" requires all weights even so that roots are meaningful.
     """
-    if scaling not in SCALINGS:
-        raise ValueError(f"unknown scaling tag: {scaling!r}")
     k = code.length
     if k < 1:
         raise ValueError("code must have positive length")
