@@ -697,6 +697,13 @@ def recognize_de(code: BinaryCode) -> Optional[int]:
     return None if odd else m // 2
 
 
+# Admissible words ``enumerate_codes`` may pool: every length up to 24
+# (4,196,351 "div4" words at 24, 9-10 s and about 500 MB for dimensions
+# 0..1 on a 2-vCPU Xeon VM); "div4" at 25-32 holds 8.4 million to 1.07
+# billion and is refused before anything is built.
+_POOL_BUDGET = 1 << 23
+
+
 def _weight_rule(length: int, weights: str, dim_min: int,
                  dim_max: int) -> range:
     """Check the arguments of ``enumerate_codes``; return the nonzero
@@ -706,10 +713,19 @@ def _weight_rule(length: int, weights: str, dim_min: int,
     if not 0 <= dim_min <= dim_max:
         raise ValueError(f"invalid dimension range: [{dim_min}, {dim_max}]")
     if weights == "4":
-        return range(4, 5)
-    if weights == "div4":
-        return range(4, length + 1, 4)
-    raise ValueError(f"unknown weight rule: {weights!r} (use '4' or 'div4')")
+        admitted = range(4, 5)
+    elif weights == "div4":
+        admitted = range(4, length + 1, 4)
+    else:
+        raise ValueError(
+            f"unknown weight rule: {weights!r} (use '4' or 'div4')")
+    # the pool of admissible words, which dimensions past 0 need
+    words = sum(comb(length, h) for h in admitted)
+    if dim_max > 0 and words > _POOL_BUDGET:
+        raise ValueError(
+            f"{words} admissible words of length {length} exceed the pool "
+            f"budget of {_POOL_BUDGET}")
+    return admitted
 
 
 # Admissible cosets of a class: words w outside it such that every word of
@@ -756,6 +772,9 @@ def enumerate_codes(
     532 classes and 540 searches.
     At 20 a search of a [20,8] code passes ``_SEARCH_NODE_BUDGET`` and the
     call ends in ``SearchBudgetError``.
+    Past dimension 0 the call first pools every admissible word, so it
+    raises ``ValueError`` at once when they number over ``_POOL_BUDGET``
+    (2^23): every length up to 24 is admitted, and "div4" at 25-32 is not.
     """
     admitted = _weight_rule(length, weights, dim_min, dim_max)
     out = [zero_code(length)] if dim_min == 0 else []

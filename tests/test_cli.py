@@ -277,6 +277,32 @@ def test_enumerate_planted_empty_cache_keeps_argument_checks(
     assert rep["error"] == error
 
 
+@pytest.mark.parametrize("planted", [False, True], ids=["miss", "planted"])
+def test_enumerate_pool_over_budget_is_one_error_report(capsys, tmp_path,
+                                                        planted):
+    # a pool of about 10^9 words is refused at once, and a stamp-only
+    # cache file under the request's name answers nothing
+    if planted:
+        (tmp_path / "enumerate_len32_wdiv4_dim0-1.jsonl").write_text(
+            json.dumps({"algorithm": "enumerate_codes/aut-orbits/"
+                                     "profile-refined-canonical",
+                        "count": 0, "nodalcodes": __version__},
+                       sort_keys=True, separators=(",", ":")) + "\n")
+    argv = ["code", "enumerate", "--length", "32", "--weights", "div4",
+            "--dim-min", "0", "--dim-max", "1", "--cache", str(tmp_path)]
+    with within(0.5):
+        rc = run(argv)
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["status"] == "error"
+    assert rep["inputs"] == {"length": 32, "weights": "div4", "dim_min": 0,
+                             "dim_max": 1, "cache": str(tmp_path)}
+    assert rep["error"] == ("1073774591 admissible words of length 32 "
+                            "exceed the pool budget of 8388608")
+
+
 def test_enumerate_unwritable_cache_is_error(capsys, tmp_path):
     # the cache file's name taken by a directory: the new file cannot
     # replace it, the request ends as one error report, and the temporary

@@ -1247,6 +1247,24 @@ def test_enumerate_dimension_zero_builds_no_cosets(monkeypatch):
         assert enumerate_codes(32, "div4", 0, 0) == [zero_code(32)]
 
 
+@pytest.mark.parametrize("length, words", [(25, 8_390_655),
+                                           (32, 1_073_774_591)])
+def test_enumeration_refuses_a_pool_over_its_budget(length, words):
+    # past dimension 0 every admissible word is pooled first; a pool over
+    # the budget is refused before any word is listed
+    message = (f"{words} admissible words of length {length} exceed the "
+               f"pool budget of {2 ** 23}")
+    with within(0.5):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_codes(length, "div4", 0, 1)
+
+
+def test_enumeration_of_weight_4_at_length_32_is_under_the_pool_budget():
+    # 35,960 words of weight 4; a code whose nonzero weights all equal 4
+    # has dimension at most 3
+    assert [c.dim for c in enumerate_codes(32, "4", 0, 32)] == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("weights", ["4", "div4"])
 def test_enumeration_matches_mass_formula(weights):
     # the sum of n!/|Aut(C)| over the classes of a dimension counts every

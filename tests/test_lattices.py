@@ -17,6 +17,7 @@ from nodalcodes.gf2 import (
     make_code,
     simplex,
     word_to_string,
+    zero_code,
 )
 from nodalcodes.lattices import (
     GramLattice,
@@ -105,6 +106,16 @@ def test_construction_a_preconditions():
         construction_a(make_code(["111"], 3), "unscaled")  # odd weight
     with pytest.raises(ValueError):
         construction_a(de(2), "thirds")
+
+
+# the scaling tag is checked by the GramLattice construction_a returns
+@pytest.mark.parametrize("code, scaling, message", [
+    (de(2), "quarter", "unknown scaling tag: 'quarter'"),
+    (zero_code(0), "half", "code must have positive length"),
+], ids=["unknown-tag", "zero-length"])
+def test_construction_a_rejects(code, scaling, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        construction_a(code, scaling)
 
 
 def test_gram_lattice_validation():
