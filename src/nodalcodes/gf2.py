@@ -697,10 +697,9 @@ def recognize_de(code: BinaryCode) -> Optional[int]:
     return None if odd else m // 2
 
 
-# Admissible words ``enumerate_codes`` may pool: every length up to 24
-# (4,196,351 "div4" words at 24, 9-10 s and about 500 MB for dimensions
-# 0..1 on a 2-vCPU Xeon VM); "div4" at 25-32 holds 8.4 million to 1.07
-# billion and is refused before anything is built.
+# Admissible words ``enumerate_codes`` may pool.  The largest pool under
+# it, 4,196,351 "div4" words at length 24, takes 9-10 s and about 500 MB
+# for dimensions 0..1 on a 2-vCPU Xeon VM; "div4" at 25 pools 8,390,655.
 _POOL_BUDGET = 1 << 23
 
 
