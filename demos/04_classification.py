@@ -64,8 +64,8 @@ for case in classify_involution(8):
 print()
 print("== the arithmetic backing the elliptic case ==")
 multisets = fiber_budget(12, 8)
-print(f"fiber multisets fitting Euler number 12 with 8 nodal curves: "
-      f"{[[f.kind for f in ms] for ms in multisets]}")
+print(f"fiber multisets fitting Euler number 12 with 8 nodal curves, as "
+      f"counts per fiber kind: {list(multisets)}")
 
 print()
 print("== the pencil equation for the rational cases ==")

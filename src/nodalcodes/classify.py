@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from itertools import product
 from math import isqrt
-from typing import TYPE_CHECKING, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Tuple,
+)
 
 import nodalcodes
 
@@ -281,7 +283,7 @@ def _classify_k2_8() -> Tuple[InvolutionCase, ...]:
                     "12 absorbing 8 nodal curves leaves exactly one fiber "
                     "multiset",
                     "elliptic fiber Euler budget",
-                    {"fibers": [[f.kind for f in ms] for ms in budgets]},
+                    {"fibers": budgets},
                 )
             )
         if data.k in pencil:
@@ -370,12 +372,14 @@ FIBER_TYPES = (
 
 def fiber_budget(
     total_euler: int, nodes_required: int
-) -> Tuple[Tuple[FiberSpec, ...], ...]:
+) -> Tuple[Dict[str, int], ...]:
     """All multisets of node-carrying fiber types fitting the Euler budget.
 
     A multiset qualifies when its Euler numbers sum to at most total_euler
     (the remainder is spent on multiples of smooth fibers, which carry no
     nodal curves) and its nodal capacities sum to exactly nodes_required.
+    Each is a map from fiber kind to its nonzero count, so
+    ``fiber_budget(7, 3) == ({"I2": 3}, {"I2": 2, "III": 1})``.
     """
     if total_euler < 0:
         raise ValueError(f"total_euler must be non-negative: {total_euler}")
@@ -400,11 +404,7 @@ def fiber_budget(
         counts = (first,) + others
         euler = sum(c * f.euler for c, f in zip(counts, FIBER_TYPES))
         if euler <= total_euler:
-            ms = tuple(
-                f for c, f in zip(counts, FIBER_TYPES) for _ in range(c)
-            )
-            out.append(ms)
-    out.sort(key=lambda ms: tuple(f.kind for f in ms))
+            out.append({f.kind: c for c, f in zip(counts, FIBER_TYPES) if c})
     return tuple(out)
 
 

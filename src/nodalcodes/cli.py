@@ -368,7 +368,7 @@ def _classify_fibers(args: argparse.Namespace) -> Result:
     )
     outputs = {
         "count": len(multisets),
-        "multisets": [[f.kind for f in ms] for ms in multisets],
+        "multisets": multisets,
         "derivation": [step],
     }
     return outputs, "ok"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -107,7 +108,7 @@ def test_classify_k2_8_elliptic_case_mentions_fibers():
         s for s in iii.derivation if "fibers" in s.values
     ]
     assert fiber_steps, "elliptic case must record its fiber multiset"
-    assert fiber_steps[0].values["fibers"] == [["I0star", "I0star"]]
+    assert fiber_steps[0].values["fibers"] == ({"I0star": 2},)
 
 
 def test_classify_rejects_other_k2():
@@ -146,13 +147,11 @@ def test_solve_md_matches_brute_force():
 
 
 def test_fiber_budget_unique_for_eight_nodes():
-    multisets = fiber_budget(12, 8)
-    assert len(multisets) == 1
-    assert [f.kind for f in multisets[0]] == ["I0star", "I0star"]
+    assert fiber_budget(12, 8) == ({"I0star": 2},)
 
 
 def test_fiber_budget_zero_nodes_is_empty_multiset():
-    assert fiber_budget(12, 0) == ((),)
+    assert fiber_budget(12, 0) == ({},)
 
 
 def test_fiber_budget_infeasible():
@@ -160,17 +159,12 @@ def test_fiber_budget_infeasible():
 
 
 def test_fiber_budget_single_star():
-    multisets = fiber_budget(6, 4)
-    assert len(multisets) == 1
-    assert [f.kind for f in multisets[0]] == ["I0star"]
+    assert fiber_budget(6, 4) == ({"I0star": 1},)
 
 
 def test_fiber_budget_mixed_small():
     # three nodes inside euler 7: I2+I2+I2 (e=6) or I2+I2+III (e=7)
-    kinds = sorted(
-        tuple(f.kind for f in ms) for ms in fiber_budget(7, 3)
-    )
-    assert kinds == [("I2", "I2", "I2"), ("I2", "I2", "III")]
+    assert fiber_budget(7, 3) == ({"I2": 3}, {"I2": 2, "III": 1})
 
 
 def test_fiber_budget_rejects_negative():
@@ -196,16 +190,21 @@ def brute_fiber_budget(total_euler, nodes_required):
         euler = sum(c * f.euler for c, f in zip(counts, FIBER_TYPES))
         cap = sum(c * f.nodal_capacity for c, f in zip(counts, FIBER_TYPES))
         if euler <= total_euler and cap == nodes_required:
-            out.append(tuple(
-                f for c, f in zip(counts, FIBER_TYPES) for _ in range(c)))
-    return tuple(sorted(out, key=lambda ms: tuple(f.kind for f in ms)))
+            out.append({f.kind: c for c, f in zip(counts, FIBER_TYPES) if c})
+    return out
+
+
+def as_multiset(maps):
+    # the maps in an order of their own, so two lists compare as multisets
+    return sorted(sorted(m.items()) for m in maps)
 
 
 def test_fiber_budget_matches_brute_product():
     for total_euler in range(41):
         for nodes_required in range(13):
-            assert fiber_budget(total_euler, nodes_required) == \
-                brute_fiber_budget(total_euler, nodes_required), \
+            assert as_multiset(fiber_budget(total_euler, nodes_required)) \
+                == as_multiset(brute_fiber_budget(total_euler,
+                                                  nodes_required)), \
                 (total_euler, nodes_required)
 
 
@@ -214,6 +213,21 @@ def test_fiber_budget_cost_is_quadratic():
     # 2-vCPU Xeon VM
     with within(1.0):
         assert len(fiber_budget(600, 200)) == 5151
+
+
+def test_fiber_budget_costs_one_map_per_multiset():
+    # 45,451 multisets; spelling out every fiber of each took 2.5-3.3 s
+    # and 330 MB max RSS on a 2-vCPU Xeon VM, a count per kind 0.2 s and
+    # 24 MB
+    with within(1.0):
+        assert len(fiber_budget(2000, 600)) == 45451
+    tracemalloc.start()
+    try:
+        fiber_budget(2000, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
 
 
 def test_fiber_types_table():

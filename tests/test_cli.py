@@ -472,7 +472,7 @@ def test_classify_fibers(capsys):
     rc, rep = invoke(capsys, "classify", "fibers", "--euler", "12",
                      "--nodes", "8")
     assert rc == 0
-    assert rep["outputs"]["multisets"] == [["I0star", "I0star"]]
+    assert rep["outputs"]["multisets"] == [{"I0star": 2}]
 
 
 def test_classify_kr_pairs(capsys):
