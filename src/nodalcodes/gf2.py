@@ -365,8 +365,7 @@ def canonical_form(code: BinaryCode) -> Tuple[BinaryCode, Tuple[int, ...]]:
     canonical matrix.  The search depends only on the RREF generator matrix,
     so equal codes always yield identical witnesses.
     """
-    canon, images, _ = _canonical_search(code)
-    return canon, images
+    return _canonical_search(code)[:2]
 
 
 # Generators of a code's automorphism group, as tuples of images.
@@ -396,9 +395,9 @@ class SearchBudgetError(ValueError):
 @lru_cache(maxsize=_SEARCH_CACHE_SIZE)
 def _canonical_search(
     code: BinaryCode, stop: Optional[BinaryCode] = None,
-) -> Tuple[BinaryCode, Tuple[int, ...], Generators]:
+) -> Tuple[BinaryCode, Tuple[int, ...], Generators, int]:
     """The search behind ``canonical_form``; also returns generators of
-    Aut(code), as tuples of images.
+    Aut(code), as tuples of images, and the number of nodes it visited.
 
     They are the automorphisms the search recorded and the transpositions
     of equal columns, which it never explores: every leaf reaching the
@@ -414,9 +413,9 @@ def _canonical_search(
     entry, also when it runs on the duals.
     """
     if 2 * code.dim > code.length:
-        canon, images, auts = _search(
+        canon, images, auts, nodes = _search(
             _dual(code), None if stop is None else _dual(stop))
-        return _dual(canon), images, auts
+        return _dual(canon), images, auts, nodes
     return _search(code, stop)
 
 
@@ -448,10 +447,10 @@ def _rows(cols: Iterable[int], dim: int) -> Tuple[int, ...]:
 
 
 def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
-            ) -> Tuple[BinaryCode, Tuple[int, ...], Generators]:
-    """The canonical search of a code with 2 dim <= length; with ``stop``,
-    it ends at, and returns, the first best leaf at or below stop's, and
-    no generators."""
+            ) -> Tuple[BinaryCode, Tuple[int, ...], Generators, int]:
+    """The canonical search of a code with 2 dim <= length, with the nodes
+    it visited; with ``stop``, it ends at, and returns, the first best leaf
+    at or below stop's, and no generators."""
     k, r = code.length, code.dim
     table = _columns(code)
     # Equal columns agree on every codeword, so at any search node only
@@ -600,7 +599,8 @@ def _search(code: BinaryCode, stop: Optional[BinaryCode] = None
         images[c] = pos
     generators = () if stop is not None else \
         tuple(tuple(a) for a, _ in auts) + tuple(swaps)
-    return BinaryCode(k, _rows(best_cols, r)), tuple(images), generators
+    return (BinaryCode(k, _rows(best_cols, r)), tuple(images), generators,
+            nodes)
 
 
 def _find(parent: List[int], x: int) -> int:
@@ -654,7 +654,7 @@ def equivalent(a: BinaryCode, b: BinaryCode) -> Optional[Tuple[int, ...]]:
     if a.length != b.length or a.dim != b.dim:
         return None
     ca, imgs_a = canonical_form(a)
-    cb, imgs_b, _ = _canonical_search(b, ca)
+    cb, imgs_b = _canonical_search(b, ca)[:2]
     if cb != ca:
         return None
     inv_b = [0] * b.length

@@ -726,31 +726,9 @@ def test_equivalent_matches_two_searches():
     assert sum(kinds.values()) >= 2500, kinds
 
 
-def fewest_nodes(monkeypatch, code):
-    # the smallest budget under which the full search of code passes,
-    # found by doubling and then bisection (2 dim <= length, so the
-    # uncached search runs in full and reads no cache)
-    assert 2 * code.dim <= code.length
-
-    def passes(budget):
-        monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", budget)
-        try:
-            gf2._canonical_search.__wrapped__(code)
-        except gf2.SearchBudgetError:
-            return False
-        return True
-
-    high = 1
-    while not passes(high):
-        high *= 2
-    low = high // 2
-    while high - low > 1:
-        mid = (low + high) // 2
-        if passes(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+def full_nodes(code):
+    # the nodes of the uncached full search of code
+    return gf2._canonical_search.__wrapped__(code)[3]
 
 
 def node_cases():
@@ -796,27 +774,19 @@ NODES = {
 @pytest.mark.parametrize("a,b,nodes", [
     pytest.param(*case.values[:2], NODES[case.id], id=case.id)
     for case in node_cases()])
-def test_full_search_node_counts(monkeypatch, a, b, nodes):
-    assert (fewest_nodes(monkeypatch, a), fewest_nodes(monkeypatch, b)) \
-        == nodes
+def test_full_search_node_counts(a, b, nodes):
+    assert (full_nodes(a), full_nodes(b)) == nodes
 
 
 @pytest.mark.parametrize("a,b,halved", list(node_cases()))
-def test_stopped_search_visits_no_more_nodes(monkeypatch, a, b, halved):
-    # with a's form cached, b's stopped search must pass under the fewest
-    # nodes b's full search needs, and under half of them where the full
-    # search goes on past the witness
-    want = two_search_reference(a, b)
-    full = gf2._SEARCH_NODE_BUDGET
-    budget = fewest_nodes(monkeypatch, b) // (2 if halved else 1)
-    gf2._canonical_search.cache_clear()
-    monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", full)
-    canonical_form(a)
-    monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", budget)
-    try:
-        assert equivalent(a, b) == want
-    finally:
-        gf2._canonical_search.cache_clear()
+def test_stopped_search_visits_no_more_nodes(a, b, halved):
+    # b's search stopped at a's form visits no more nodes than b's full
+    # search, and at most half of them where the full search goes on past
+    # the witness
+    form = canonical_form(a)[0]
+    stopped = gf2._canonical_search.__wrapped__(b, form)[3]
+    assert stopped <= full_nodes(b) // (2 if halved else 1)
+    assert equivalent(a, b) == two_search_reference(a, b)
 
 
 def test_repeated_equivalence_runs_no_search(monkeypatch):
@@ -887,17 +857,16 @@ def lifted_generators(length, kept, sub_generators):
     return lifted
 
 
-def test_support_search_is_the_padded_search(monkeypatch):
+def test_support_search_is_the_padded_search():
     # enumeration searches a child as its support: the search of a code
     # whose support has 2 dim <= its length takes the zero coordinates
     # first, one node each, and then walks its support's search, so its
     # form is the support's behind the zero columns, its witness the
     # support's shifted past them, its generators the support's, lifted,
     # and the transpositions of neighbouring zero coordinates, which the
-    # orbit walk folds into its coset names, and its fewest passing
-    # budget the support's plus one node per zero coordinate
+    # orbit walk folds into its coset names, and its node count the
+    # support's plus one node per zero coordinate
     rng = random.Random(1982)
-    full = gf2._SEARCH_NODE_BUDGET
     padded = 0
     for _ in range(800):
         n = rng.randint(2, 16)
@@ -907,16 +876,15 @@ def test_support_search_is_the_padded_search(monkeypatch):
         if not z or 2 * code.dim > support.length:
             continue
         padded += 1
-        form, witness, generators = gf2._search(code)
-        sub_form, sub_witness, sub_generators = gf2._search(support)
+        form, witness, generators, nodes = gf2._search(code)
+        sub_form, sub_witness, sub_generators, sub_nodes = \
+            gf2._search(support)
         assert form.generators == tuple(g << z for g in sub_form.generators)
         zeros = [c for c in range(n) if c not in kept]
         assert [witness[c] for c in zeros] == list(range(z))
         assert [witness[c] for c in kept] == [z + w for w in sub_witness]
         assert lifted_generators(n, kept, sub_generators) == set(generators)
-        assert fewest_nodes(monkeypatch, code) == \
-            z + fewest_nodes(monkeypatch, support)
-        monkeypatch.setattr(gf2, "_SEARCH_NODE_BUDGET", full)
+        assert nodes == z + sub_nodes
     assert padded >= 300
 
 

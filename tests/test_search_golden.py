@@ -77,7 +77,7 @@ def corpus():
 
 def record(code, copy, other):
     search = gf2._canonical_search.__wrapped__
-    form, witness, generators = search(code)
+    form, witness, generators = search(code)[:3]
     stopped = [search(b, stop)[:2]
                for b, stop in ((copy, form), (code, search(other)[0]))]
     return {
