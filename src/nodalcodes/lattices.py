@@ -67,8 +67,6 @@ class GramLattice(_GramLattice):
         if len(g) != self.rank or any(len(row) != self.rank for row in g):
             raise ValueError("doubled_gram must be a rank x rank matrix")
         for i in range(self.rank):
-            if g[i][i] <= 0:
-                raise ValueError("basis vectors must have positive norm")
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("doubled_gram must be symmetric")

@@ -121,8 +121,11 @@ def test_construction_a_rejects(code, scaling, message):
 def test_gram_lattice_validation():
     with pytest.raises(ValueError):
         GramLattice(2, ((2, 1), (0, 2)), "unscaled")  # asymmetric
-    with pytest.raises(ValueError):
-        GramLattice(2, ((0, 0), (0, 2)), "unscaled")  # zero norm
+    # a basis vector of norm <= 0, at any position, leaves the form not
+    # positive definite, so some leading principal minor is <= 0
+    for gram in (((0, 0), (0, 2)), ((2, 0), (0, 0)), ((2, 0), (0, -2))):
+        with pytest.raises(ValueError, match="not positive definite"):
+            GramLattice(2, gram, "unscaled")
     with pytest.raises(ValueError):
         GramLattice(1, ((2,),), "other")
 
