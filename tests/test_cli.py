@@ -10,8 +10,8 @@ from helpers import fresh_python, latin_square_code, within
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalcodes import __version__, classify, covers, gf2
-from nodalcodes.cli import _cache_lines, _plain, run
+from nodalcodes import MAX_LENGTH, __version__, classify, covers, gf2
+from nodalcodes.cli import _COMMANDS, _cache_lines, _plain, run
 from nodalcodes.gf2 import de, format_code, permute, simplex
 
 
@@ -709,14 +709,19 @@ LATTICE_JSON = st.text(max_size=40) | JSON_VALUE.map(json.dumps) \
     | lattice_texts()
 
 
-def one_report(argv):
+# the exit code of each report status
+EXIT = {"ok": 0, "error": 1, "contradiction": 2}
+
+
+def one_report(argv, statuses=("ok", "error")):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = run(argv)
     lines = out.getvalue().splitlines()
     assert len(lines) == 1, out.getvalue()
     rep = json.loads(lines[0])
-    assert rc == {"ok": 0, "error": 1}[rep["status"]], (rc, rep)
+    assert rep["status"] in statuses, rep
+    assert rc == EXIT[rep["status"]], (rc, rep)
     return rep
 
 
@@ -741,6 +746,62 @@ def test_lattice_files_give_one_report(text):
         path = Path(tmp, "x.lattice")
         path.write_text(text)
         one_report(["lattice", "identify", str(path)])
+
+
+# the documented range of each integer option of the subcommands that read
+# only numbers; an unbounded end is cut short to keep each request small
+NUMERIC_RANGES = {
+    "cover invariants": {"--chi": (-2, 4), "--k2": (-9, 9),
+                         "--r": (0, MAX_LENGTH), "--m": (0, MAX_LENGTH)},
+    "bound isotropic": {"--k": (0, 40), "--rho": (1, 40)},
+    "bound miyaoka": {"--k2": (0, 60), "--c2": (-12, 60)},
+    "bound min-m": {"--r": (1, 8)},
+    "classify fibers": {"--euler": (0, 600), "--nodes": (0, 200)},
+    "classify small-rho": {"--rho": (2, 4)},
+    "classify thm-mt": {"--rho": (2, 14)},
+    "classify involution": {"--k2": (8, 9)},
+    "classify kr-pairs": {},
+    "solve md": {},
+}
+
+
+@st.composite
+def numeric_requests(draw):
+    # each option of a subcommand, read from its declaration, drawn across
+    # its range and up to three past either end, or from its choices and
+    # one tag past them; now and then one is left out.  Returns the argv
+    # and the inputs its report keeps: the raw argv when the parse fails
+    command = draw(st.sampled_from(sorted(NUMERIC_RANGES)))
+    ranges = NUMERIC_RANGES[command]
+    argv, parsed, usage_error = command.split(), {}, False
+    for (flag,), kwargs in _COMMANDS[command][2]:
+        name = flag.lstrip("-").replace("-", "_")
+        if draw(st.integers(0, 7)) == 0:
+            usage_error |= kwargs.get("required", False)
+            parsed[name] = kwargs.get("default")
+            continue
+        if flag in ranges:
+            lo, hi = ranges[flag]
+            value = draw(st.integers(lo - 3, hi + 3))
+        else:
+            value = draw(st.sampled_from(kwargs["choices"] + ("none",)))
+        usage_error |= "choices" in kwargs and value not in kwargs["choices"]
+        argv += [flag, str(value)]
+        parsed[name] = value
+    return argv, {"argv": argv} if usage_error else parsed
+
+
+@settings(deadline=None, max_examples=300)
+@given(request=numeric_requests())
+def test_numeric_requests_give_one_report(request):
+    argv, inputs = request
+    with within(1.0):
+        rep = one_report(argv, statuses=tuple(EXIT))
+    assert rep["command"] == " ".join(argv[:2])
+    assert rep["inputs"] == inputs
+    if rep["status"] == "error":
+        assert rep["outputs"] == {} and rep["derivation"] == []
+        assert rep["error"]
 
 
 def test_deeply_nested_json_gives_one_report(tmp_path):
